@@ -9,8 +9,6 @@ to stabilize it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -185,32 +183,19 @@ def _check_cubes(x_cube: HyperCube, y_cube: HyperCube) -> None:
         raise ValidationError(f"cubes disagree: {x_cube.shape} vs {y_cube.shape}")
 
 
-def _resolve_workers(workers: int | None, repeats: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-        env_cap = os.environ.get("ACDKIT_THREADS")
-        if env_cap is not None:
-            try:
-                workers = min(workers, max(1, int(env_cap)))
-            except ValueError as exc:
-                raise ValidationError(f"ACDKIT_THREADS must be an integer: {env_cap!r}") from exc
-    return max(1, min(int(workers), repeats))
-
-
 def run_acda(
     x_cube: HyperCube,
     y_cube: HyperCube,
     cfg: AcdaConfig,
-    workers: int | None = None,
     samples: SampleSet | None = None,
 ) -> tuple[IntensityMap, list[AcdaRun]]:
     """Full pipeline: sample once, train both directions per repeat, fuse, average.
 
     Repeat r derives its two training seeds from base_seed + r, so every
     repeat starts from fresh weights while the whole run stays reproducible.
-    The mean map is the pixelwise average of the fused maps, accumulated in
-    repeat order regardless of worker count, so results are bit-identical
-    with `workers=1` and with a thread pool.
+    Repeats run one after another and the mean map is the pixelwise average
+    of the fused maps, accumulated in repeat order, so reruns are
+    bit-identical.
     """
     _check_cubes(x_cube, y_cube)
     if samples is None:
@@ -218,9 +203,9 @@ def run_acda(
     x = flatten(x_cube)
     y = flatten(y_cube)
     plane = (x_cube.height, x_cube.width)
-    cfg.resolved_shape(x_cube.bands)  # fail fast before spawning work
 
-    def one_repeat(r: int) -> AcdaRun:
+    runs = []
+    for r in range(cfg.repeats):
         repeat_seed = cfg.base_seed + r
         params_fwd, hist_fwd = train_predictor(
             x, y, samples, cfg, seed=derived_seed(repeat_seed, 0)
@@ -230,21 +215,16 @@ def run_acda(
         )
         map_fwd = loss_map(predict_image(params_fwd, x), y, plane)
         map_bwd = loss_map(predict_image(params_bwd, y), x, plane)
-        return AcdaRun(
-            params_fwd=params_fwd,
-            params_bwd=params_bwd,
-            loss_map_fwd=map_fwd,
-            loss_map_bwd=map_bwd,
-            fused=fuse_min(map_fwd, map_bwd),
-            training_losses=(tuple(hist_fwd), tuple(hist_bwd)),
+        runs.append(
+            AcdaRun(
+                params_fwd=params_fwd,
+                params_bwd=params_bwd,
+                loss_map_fwd=map_fwd,
+                loss_map_bwd=map_bwd,
+                fused=fuse_min(map_fwd, map_bwd),
+                training_losses=(tuple(hist_fwd), tuple(hist_bwd)),
+            )
         )
-
-    n_workers = _resolve_workers(workers, cfg.repeats)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            runs = list(pool.map(one_repeat, range(cfg.repeats)))
-    else:
-        runs = [one_repeat(r) for r in range(cfg.repeats)]
 
     total = np.zeros_like(runs[0].fused.values)
     for run in runs:

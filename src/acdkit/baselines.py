@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acda import fuse_min, loss_map
-from .core import HyperCube, IntensityMap, flatten
+from .core import HyperCube, IntensityMap, _check_pair, flatten
 from .errors import ValidationError
 from .linalg import inv_sqrt, mean_cov, solve_spd, sym_sqrt
 
@@ -52,14 +52,6 @@ class LinearPredictor:
                 f"input shape {x.shape} does not match gain {self.gain.shape}"
             )
         return (x - self.mean_in) @ self.gain.T + self.mean_out
-
-
-def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape != y.shape:
-        raise ValidationError(f"pixel matrices disagree: {x.shape} vs {y.shape}")
-    return x, y
 
 
 def diff_rx(

@@ -24,17 +24,16 @@ from .evaluate import export_curve, export_map, export_map_pgm, roc
 from .neural import NetworkShape, TrainConfig
 from .synth import SceneSpec, describe, generate
 
+_RUN_DEFAULTS = AcdaConfig()
 _ACDA_DEFAULTS = {
     "h1": None,
     "h2": None,
     "output_activation": "linear",
-    "epochs": 200,
-    "batch_size": 256,
-    "learning_rate": 1e-3,
-    "l2_lambda": 1e-3,
-    "sample_count": None,
-    "repeats": 10,
-    "base_seed": 0,
+    **{
+        key: getattr(_RUN_DEFAULTS.train, key)
+        for key in ("epochs", "batch_size", "learning_rate", "l2_lambda")
+    },
+    **{key: getattr(_RUN_DEFAULTS, key) for key in ("sample_count", "repeats", "base_seed")},
 }
 _LINEAR_DEFAULTS = {"ridge": None}
 
@@ -230,8 +229,7 @@ def cmd_detect(args) -> int:
         conf = _load_config(args.config, _ACDA_DEFAULTS, args.set)
         cfg = _acda_config(conf, x_cube.bands)
         samples = prepare_samples(x_cube, y_cube, cfg)
-        workers = 1 if args.sequential else None
-        mean_map, runs = run_acda(x_cube, y_cube, cfg, workers=workers, samples=samples)
+        mean_map, runs = run_acda(x_cube, y_cube, cfg, samples=samples)
         export_map(mean_map, out / "map.json")
         outputs += _cube_files(out / "map.json")
         _write_histories(runs, out / "losses.csv")
@@ -330,9 +328,7 @@ def cmd_sweep(args) -> int:
             cell_conf["h1"], cell_conf["h2"] = h1, h2
             try:
                 cfg = _acda_config(cell_conf, bands)
-                mean_map, _ = run_acda(
-                    x_cube, y_cube, cfg, workers=1 if args.sequential else None
-                )
+                mean_map, _ = run_acda(x_cube, y_cube, cfg)
                 auc = roc(mean_map, mask).auc
             except AcdkitError as exc:
                 logging.getLogger(__name__).warning("cell h1=%d h2=%d failed: %s", h1, h2, exc)
@@ -378,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_detect.add_argument("--out", required=True, help="output directory")
     p_detect.add_argument(
-        "--sequential", action="store_true", help="single-threaded, bitwise-reproducible run"
+        "--sequential", action="store_true",
+        help="accepted for compatibility; runs are always sequential and bit-identical",
     )
     p_detect.add_argument(
         "--save-run-maps", action="store_true", help="also write per-repeat directional maps"
@@ -404,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument(
-        "--sequential", action="store_true", help="single-threaded, bitwise-reproducible runs"
+        "--sequential", action="store_true",
+        help="accepted for compatibility; runs are always sequential and bit-identical",
     )
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -131,6 +131,17 @@ def unflatten(matrix: np.ndarray, shape: tuple[int, int]) -> HyperCube:
     return HyperCube(m.reshape(h, w, m.shape[1]))
 
 
+def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Promote two (M, Q) pixel matrices to float64 and require equal shapes."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValidationError("pixel matrices must be 2-D (pixels x bands)")
+    if x.shape != y.shape:
+        raise ValidationError(f"pixel matrices disagree: {x.shape} vs {y.shape}")
+    return x, y
+
+
 def _raw_path(header_path: Path, raw_name: str) -> Path:
     return header_path.parent / raw_name
 

@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra for the detectors.
 
-Everything here works on plain float64 numpy arrays. The eigensolver is a
-cyclic Jacobi iteration: deterministic across BLAS builds, and entirely
-adequate for the Q <= 256 covariance matrices this toolkit sees. Covariance
+Everything here works on plain float64 numpy arrays. Eigendecompositions go
+through LAPACK (`np.linalg.eigh`) with a fixed eigenvector sign convention,
+so reruns on one machine are bit-identical. Covariance
 matrices from natural scenes are routinely near-singular, so every inversion
 accepts a ridge; pass None to get the default 1e-6 * trace / dim.
 """
@@ -16,8 +16,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 _SYMMETRY_RTOL = 1e-9
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-12  # off-diagonal Frobenius threshold, relative to ||A||_F
+_EIGENVALUE_RTOL = 1e-12  # inv_sqrt floor on shifted eigenvalues, relative to max |lambda|
 _PSD_TOL = 1e-8  # eigenvalues may undershoot zero by this fraction of the trace
 
 
@@ -66,68 +65,18 @@ def mean_cov(m: np.ndarray) -> Stats:
     return Stats(mean=mean, cov=(cov + cov.T) / 2.0, count=rows)
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # Computed from the off-diagonal entries themselves: subtracting the
-    # diagonal's squared norm from the total cancels catastrophically once
-    # the off-diagonal part is small.
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
     Eigenvector signs are fixed so the largest-magnitude component of each
     column is positive, which keeps results reproducible.
     """
-    work = _as_symmetric(a, "eigh input")
-    n = work.shape[0]
-    vecs = np.eye(n)
-    norm = np.linalg.norm(work)
-    if n == 1 or norm == 0.0:
-        return _sorted_eigh(np.diag(work).copy(), vecs)
-
-    threshold = _JACOBI_TOL * norm
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(work) <= threshold:
-            return _sorted_eigh(np.diag(work).copy(), vecs)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= threshold / n:
-                    continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                _rotate(work, vecs, p, q, c, s)
-    if _off_diagonal_norm(work) <= threshold:
-        return _sorted_eigh(np.diag(work).copy(), vecs)
-    raise NumericalError(f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    """Apply the Givens rotation G(p, q) as A <- G^T A G, V <- V G, in place."""
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vcol_p = v[:, p].copy()
-    v[:, p] = c * vcol_p - s * v[:, q]
-    v[:, q] = s * vcol_p + c * v[:, q]
-
-
-def _sorted_eigh(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    sym = _as_symmetric(a, "eigh input")
+    try:
+        values, vectors = np.linalg.eigh(sym)  # LAPACK returns ascending order
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
     anchor = np.abs(vectors).argmax(axis=0)
     signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
@@ -150,7 +99,7 @@ def inv_sqrt(a: np.ndarray, ridge: float | None = None) -> np.ndarray:
     ridge_val = _resolve_ridge(sym, ridge)
     values, vectors = _checked_psd_eigh(sym, "inv_sqrt input")
     shifted = values + ridge_val
-    floor = _JACOBI_TOL * max(float(np.abs(values).max()), 0.0)
+    floor = _EIGENVALUE_RTOL * max(float(np.abs(values).max()), 0.0)
     if np.any(shifted <= floor):
         raise NumericalError(
             f"eigenvalue {shifted.min():.3e} below tolerance floor after ridge {ridge_val:.3e}"

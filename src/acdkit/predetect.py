@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityMap
+from .core import IntensityMap, _check_pair
 from .errors import NumericalError, ValidationError
 from .linalg import generalized_eigh, mean_cov
 from .neural import SampleSet
@@ -98,16 +98,6 @@ class ClusterResult:
         return self.centers.size
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValidationError("pixel matrices must be 2-D (pixels x bands)")
-    if x.shape != y.shape:
-        raise ValidationError(f"pixel matrices disagree: {x.shape} vs {y.shape}")
-    return x, y
-
-
 def usfa_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> UsfaModel:
     """Fit slow-feature directions to the pair of (M, Q) pixel matrices.
 
@@ -167,16 +157,14 @@ def _init_centers(values: np.ndarray, k: int) -> np.ndarray:
     return np.quantile(values, quantiles)
 
 
-def kmeans_1d(values: np.ndarray, k: int, seed: int = 0) -> ClusterResult:
+def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
     """Lloyd's algorithm on scalars with deterministic quantile seeding.
 
     Centers start at the (2j+1)/(2k) quantiles, so runs are reproducible
-    without randomness; the `seed` argument is accepted for interface
-    stability but never consulted. An emptied cluster is re-seeded at the
-    value farthest from its currently assigned center. Stops when the
-    assignment is stable or after 300 iterations.
+    without randomness. An emptied cluster is re-seeded at the value
+    farthest from its currently assigned center. Stops when the assignment
+    is stable or after 300 iterations.
     """
-    del seed  # quantile initialization is deterministic
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     flat = np.asarray(values, dtype=np.float64).ravel()
@@ -226,6 +214,9 @@ def select_samples(
     the smallest center as the unchanged-background pool, and samples
     min(count, pool size) pixel indices uniformly without replacement.
     Row i of the returned inputs and labels always comes from the same pixel.
+    Scores with fewer than three distinct values (an identical or noise-free
+    pair) cannot be split into background and change, and raise
+    NumericalError.
     """
     x, y = _check_pair(x, y)
     if count < 1:
@@ -235,7 +226,13 @@ def select_samples(
         raise ValidationError(
             f"intensity covers {scores.size} pixels, matrices have {x.shape[0]}"
         )
-    clusters = kmeans_1d(scores, k=3, seed=seed)
+    distinct = np.unique(scores).size
+    if distinct < 3:
+        raise NumericalError(
+            f"change intensity takes only {distinct} distinct value(s): the pair shows "
+            "no change structure to cluster into background and change"
+        )
+    clusters = kmeans_1d(scores, k=3)
     pool = np.flatnonzero(clusters.assignments == 0)
     if pool.size == 0:
         raise NumericalError("lowest-score cluster is empty")

@@ -242,6 +242,13 @@ class TestDetectAcda:
                      "--set", "epochs=soon", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_identical_pair_is_numerical_error(self, ws, tmp_path, capsys):
+        flat = ws["flat"]
+        code = main(["detect", "acda", str(flat["x"]), str(flat["y"]),
+                     "--set", "epochs=2", "--set", "repeats=1", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "no change structure" in capsys.readouterr().err
+
 
 class TestEval:
     def _export(self, values, path):

@@ -99,6 +99,19 @@ class TestEigh:
             assert_allclose(vectors @ np.diag(values) @ vectors.T, a, atol=1e-8 * scale)
             assert_allclose(vectors.T @ vectors, np.eye(dim), atol=1e-9)
 
+    def test_paper_band_count_values_signs_and_reruns(self):
+        # Q = 127 is the band count of the paper's scenes.
+        rng = np.random.default_rng(127)
+        a = _random_spd(rng, 127)
+        values, vectors = eigh(a)
+        expected = np.linalg.eigvalsh(a)
+        assert_allclose(values, expected, rtol=1e-10, atol=0.0)
+        anchor = np.abs(vectors).argmax(axis=0)
+        assert np.all(vectors[anchor, np.arange(127)] > 0)
+        again_values, again_vectors = eigh(a)
+        assert values.tobytes() == again_values.tobytes()
+        assert vectors.tobytes() == again_vectors.tobytes()
+
 
 class TestInvSqrt:
     def test_diagonal_example(self):
