@@ -9,7 +9,7 @@ to stabilize it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .neural import (
     TrainConfig,
     derived_seed,
     forward_batch,
-    train,
+    train_lockstep,
 )
 from .predetect import default_sample_count, select_samples, usfa_fit, usfa_intensity
 
@@ -96,20 +96,8 @@ class AcdaRun:
         )
 
 
-def train_predictor(
-    input_img: np.ndarray,
-    label_img: np.ndarray,
-    samples: SampleSet,
-    cfg: AcdaConfig,
-    seed: int | None = None,
-) -> tuple[MlpParams, list[float]]:
-    """Train one directional predictor on the sampled pixels.
-
-    Direction is set purely by argument order: rows of `input_img` at the
-    sample indices are the network inputs, the same rows of `label_img` the
-    regression targets. Returns the trained parameters and the per-epoch
-    loss history.
-    """
+def _sample_pair(input_img: np.ndarray, label_img: np.ndarray, samples: SampleSet) -> np.ndarray:
+    """The sampled rows of both images as one (2, S, Q) pool: inputs, then labels."""
     input_img = np.asarray(input_img, dtype=np.float64)
     label_img = np.asarray(label_img, dtype=np.float64)
     if input_img.shape != label_img.shape or input_img.ndim != 2:
@@ -121,10 +109,31 @@ def train_predictor(
     idx = samples.indices
     if idx.size and (idx.min() < 0 or idx.max() >= input_img.shape[0]):
         raise ValidationError("sample indices fall outside the image")
-    shape = cfg.resolved_shape(input_img.shape[1])
-    train_cfg = cfg.train if seed is None else replace(cfg.train, seed=seed)
-    oriented = SampleSet(input_img[idx], label_img[idx], indices=idx)
-    return train(shape, oriented, train_cfg)
+    return np.stack([input_img[idx], label_img[idx]])
+
+
+def train_predictor(
+    input_img: np.ndarray,
+    label_img: np.ndarray,
+    samples: SampleSet,
+    cfg: AcdaConfig,
+    seed: int | None = None,
+) -> tuple[MlpParams, list[float]]:
+    """Train one directional predictor on the sampled pixels.
+
+    Direction is set purely by argument order: rows of `input_img` at the
+    sample indices are the network inputs, the same rows of `label_img` the
+    regression targets. `seed=None` uses `cfg.train.seed`. Returns the
+    trained parameters and the per-epoch loss history, bit-identical to the
+    matching predictor that `run_acda` trains in lockstep with the others.
+    """
+    pair = _sample_pair(input_img, label_img, samples)
+    shape = cfg.resolved_shape(pair.shape[2])
+    seed = cfg.train.seed if seed is None else seed
+    [trained] = train_lockstep(
+        shape, pair, pair, [(0, 1)], [seed], cfg.train, ["predictor"]
+    )
+    return trained
 
 
 def predict_image(params: MlpParams, img: np.ndarray) -> np.ndarray:
@@ -191,11 +200,15 @@ def run_acda(
 ) -> tuple[IntensityMap, list[AcdaRun]]:
     """Full pipeline: sample once, train both directions per repeat, fuse, average.
 
-    Repeat r derives its two training seeds from base_seed + r, so every
-    repeat starts from fresh weights while the whole run stays reproducible.
-    Repeats run one after another and the mean map is the pixelwise average
-    of the fused maps, accumulated in repeat order, so reruns are
-    bit-identical.
+    Repeat r derives its two training seeds from base_seed + r
+    (`derived_seed(base_seed + r, 0)` for x -> y, `..., 1)` for y -> x), so
+    every repeat starts from fresh weights while the whole run stays
+    reproducible. All 2 x repeats predictors train together in one
+    `train_lockstep` call; each equals the net `train_predictor` trains
+    with its seed, bit for bit. The mean map is the pixelwise average of
+    the fused maps, accumulated in repeat order, so reruns are
+    bit-identical. A predictor whose training loss turns non-finite raises
+    NumericalError naming its repeat, direction and epoch.
     """
     _check_cubes(x_cube, y_cube)
     if samples is None:
@@ -204,15 +217,22 @@ def run_acda(
     y = flatten(y_cube)
     plane = (x_cube.height, x_cube.width)
 
+    pair = _sample_pair(x, y, samples)
+    # direction 0 maps pool 0 (x) to pool 1 (y), direction 1 the reverse
+    nets = [(r, direction) for r in range(cfg.repeats) for direction in (0, 1)]
+    trained = train_lockstep(
+        cfg.resolved_shape(x_cube.bands),
+        pair,
+        pair,
+        [(direction, 1 - direction) for _, direction in nets],
+        [derived_seed(cfg.base_seed + r, direction) for r, direction in nets],
+        cfg.train,
+        [f"repeat {r} {('fwd', 'bwd')[direction]} predictor" for r, direction in nets],
+    )
+
     runs = []
     for r in range(cfg.repeats):
-        repeat_seed = cfg.base_seed + r
-        params_fwd, hist_fwd = train_predictor(
-            x, y, samples, cfg, seed=derived_seed(repeat_seed, 0)
-        )
-        params_bwd, hist_bwd = train_predictor(
-            y, x, samples, cfg, seed=derived_seed(repeat_seed, 1)
-        )
+        (params_fwd, hist_fwd), (params_bwd, hist_bwd) = trained[2 * r : 2 * r + 2]
         map_fwd = loss_map(predict_image(params_fwd, x), y, plane)
         map_bwd = loss_map(predict_image(params_bwd, y), x, plane)
         runs.append(

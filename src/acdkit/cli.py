@@ -317,6 +317,9 @@ def cmd_sweep(args) -> int:
     conf = _load_config(None, dict(_ACDA_DEFAULTS, **shared), args.set)
 
     bands = x_cube.bands
+    # Pre-detection reads only sample_count and base_seed, which every cell
+    # shares: the first cell runs it and later cells reuse its samples or error.
+    predetected = None
     rows = ["h2/h1," + ",".join(str(h1) for h1 in h1_values)]
     for h2 in h2_values:
         cells = []
@@ -328,7 +331,14 @@ def cmd_sweep(args) -> int:
             cell_conf["h1"], cell_conf["h2"] = h1, h2
             try:
                 cfg = _acda_config(cell_conf, bands)
-                mean_map, _ = run_acda(x_cube, y_cube, cfg)
+                if predetected is None:
+                    try:
+                        predetected = prepare_samples(x_cube, y_cube, cfg)
+                    except AcdkitError as exc:
+                        predetected = exc
+                if isinstance(predetected, AcdkitError):
+                    raise predetected
+                mean_map, _ = run_acda(x_cube, y_cube, cfg, samples=predetected)
                 auc = roc(mean_map, mask).auc
             except AcdkitError as exc:
                 logging.getLogger(__name__).warning("cell h1=%d h2=%d failed: %s", h1, h2, exc)

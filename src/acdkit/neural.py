@@ -4,6 +4,11 @@ Plain numpy, float64 throughout: He-normal init, ReLU hidden layers, a
 selectable linear or ReLU output layer, squared-error loss with L2 weight
 decay, exact reverse-mode gradients, Adam, and seeded mini-batch training.
 Everything is deterministic under a fixed seed.
+
+The forward, gradient and Adam kernels are rank-polymorphic: the same code
+runs one net on (out, in) weights and (B, in) batches, or N nets of one
+shape stacked into (N, out, in) weights and (N, B, in) batches, which is how
+`train_lockstep` trains many small nets with one batched matmul per layer.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIOError, ValidationError
+from .errors import DataIOError, NumericalError, ValidationError
 
 OUTPUT_ACTIVATIONS = ("linear", "relu")
 
@@ -136,10 +141,18 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.l2_lambda < 0:
             raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1), got {value}")
+        if not self.adam_eps > 0:
+            raise ValidationError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -186,18 +199,32 @@ class AdamState:
     step: int = 0
 
 
-def _init_from_rng(shape: NetworkShape, rng: np.random.Generator) -> MlpParams:
+def _he_init(shape: NetworkShape, rng: np.random.Generator) -> tuple[list, list]:
     dims = shape.layer_dims
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, shape.output_activation)
+    return weights, biases
 
 
 def init_params(shape: NetworkShape, seed: int) -> MlpParams:
     """He-normal weights (variance 2 / fan_in), zero biases, seeded."""
-    return _init_from_rng(shape, np.random.default_rng(seed))
+    weights, biases = _he_init(shape, np.random.default_rng(seed))
+    return MlpParams(weights, biases, shape.output_activation)
+
+
+def _forward(weights, biases, relu_output: bool, x: np.ndarray):
+    """Forward pass on raw arrays, one net or N stacked nets (see module doc)."""
+    activations = [x]
+    current = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        current = current @ np.swapaxes(w, -1, -2) + b[..., np.newaxis, :]
+        if i < last or relu_output:
+            current = np.maximum(current, 0.0)
+        activations.append(current)
+    return current, activations
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -211,15 +238,7 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np
         raise ValidationError(
             f"batch shape {batch.shape} does not match input_dim {params.input_dim}"
         )
-    activations = [batch]
-    current = batch
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        current = current @ w.T + b
-        if i < last or params.output_activation == "relu":
-            current = np.maximum(current, 0.0)
-        activations.append(current)
-    return current, activations
+    return _forward(params.weights, params.biases, params.output_activation == "relu", batch)
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -246,26 +265,30 @@ def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
     return data_term + reg_term
 
 
-def _loss_and_grads(
-    params: MlpParams, inputs: np.ndarray, labels: np.ndarray, l2_lambda: float
-) -> tuple[float, MlpParams]:
-    out, acts = forward_batch(params, inputs)
-    size = inputs.shape[0]
+def _loss_and_grads(weights, biases, relu_output: bool, inputs, labels, l2_lambda: float):
+    """`loss` and `backward` in one pass on raw arrays, one net or N stacked nets.
+
+    Returns the loss (a 0-d array for one net, shape (N,) for N nets) and the
+    weight and bias gradient lists. Each net's squared residual is summed
+    over its whole (B, out) block, in the same order as `loss` sums it.
+    """
+    out, acts = _forward(weights, biases, relu_output, inputs)
+    size = inputs.shape[-2]
     residual = out - labels
-    value = float(np.sum(residual * residual)) / size
-    value += l2_lambda * sum(float(np.sum(w * w)) for w in params.weights)
+    value = np.sum(residual * residual, axis=(-2, -1)) / size
+    value = value + l2_lambda * sum(np.sum(w * w, axis=(-2, -1)) for w in weights)
 
     delta = (2.0 / size) * residual
-    if params.output_activation == "relu":
+    if relu_output:
         delta = delta * (acts[-1] > 0.0)
-    grad_w = [None] * params.n_layers
-    grad_b = [None] * params.n_layers
-    for i in range(params.n_layers - 1, -1, -1):
-        grad_w[i] = delta.T @ acts[i] + 2.0 * l2_lambda * params.weights[i]
-        grad_b[i] = delta.sum(axis=0)
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grad_w[i] = np.swapaxes(delta, -1, -2) @ acts[i] + 2.0 * l2_lambda * weights[i]
+        grad_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ params.weights[i]) * (acts[i] > 0.0)
-    return value, MlpParams(grad_w, grad_b, params.output_activation)
+            delta = (delta @ weights[i]) * (acts[i] > 0.0)
+    return value, grad_w, grad_b
 
 
 def backward(params: MlpParams, batch: SampleSet, l2_lambda: float) -> MlpParams:
@@ -276,25 +299,32 @@ def backward(params: MlpParams, batch: SampleSet, l2_lambda: float) -> MlpParams
     """
     if batch.size == 0:
         raise ValidationError("gradient of an empty batch is undefined")
-    _, grads = _loss_and_grads(params, batch.inputs, batch.labels, l2_lambda)
-    return grads
+    _, grad_w, grad_b = _loss_and_grads(
+        params.weights,
+        params.biases,
+        params.output_activation == "relu",
+        batch.inputs,
+        batch.labels,
+        l2_lambda,
+    )
+    return MlpParams(grad_w, grad_b, params.output_activation)
 
 
-def init_adam_state(params: MlpParams) -> AdamState:
+def _zero_state(weights, biases) -> AdamState:
     return AdamState(
-        m_weights=[np.zeros_like(w) for w in params.weights],
-        v_weights=[np.zeros_like(w) for w in params.weights],
-        m_biases=[np.zeros_like(b) for b in params.biases],
-        v_biases=[np.zeros_like(b) for b in params.biases],
+        m_weights=[np.zeros_like(w) for w in weights],
+        v_weights=[np.zeros_like(w) for w in weights],
+        m_biases=[np.zeros_like(b) for b in biases],
+        v_biases=[np.zeros_like(b) for b in biases],
     )
 
 
-def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    if [w.shape for w in grads.weights] != [w.shape for w in params.weights]:
-        raise ValidationError("gradient shapes do not match parameter shapes")
+def init_adam_state(params: MlpParams) -> AdamState:
+    return _zero_state(params.weights, params.biases)
+
+
+def _adam_update(weights, biases, grad_w, grad_b, state: AdamState, config: TrainConfig):
+    """One bias-corrected Adam update on raw arrays, one net or N stacked nets."""
     b1, b2, eps, lr = (
         config.adam_beta1,
         config.adam_beta2,
@@ -305,63 +335,136 @@ def adam_step(
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
 
-    def update(p, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * (g * g)
-        p_new = p - lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + eps)
-        return p_new, m_new, v_new
+    def update(params, grads, moments1, moments2):
+        new_p, new_m, new_v = [], [], []
+        for p, g, m, v in zip(params, grads, moments1, moments2):
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            new_p.append(p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps))
+            new_m.append(m)
+            new_v.append(v)
+        return new_p, new_m, new_v
 
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, state.m_weights, state.v_weights):
-        pn, mn, vn = update(p, g, m, v)
-        new_w.append(pn)
-        new_mw.append(mn)
-        new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(params.biases, grads.biases, state.m_biases, state.v_biases):
-        pn, mn, vn = update(p, g, m, v)
-        new_b.append(pn)
-        new_mb.append(mn)
-        new_vb.append(vn)
-    return (
-        MlpParams(new_w, new_b, params.output_activation),
-        AdamState(new_mw, new_vw, new_mb, new_vb, t),
+    new_w, new_mw, new_vw = update(weights, grad_w, state.m_weights, state.v_weights)
+    new_b, new_mb, new_vb = update(biases, grad_b, state.m_biases, state.v_biases)
+    return new_w, new_b, AdamState(new_mw, new_vw, new_mb, new_vb, t)
+
+
+def adam_step(
+    params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig
+) -> tuple[MlpParams, AdamState]:
+    """One bias-corrected Adam update; returns fresh params and state."""
+    if [w.shape for w in grads.weights] != [w.shape for w in params.weights]:
+        raise ValidationError("gradient shapes do not match parameter shapes")
+    new_w, new_b, new_state = _adam_update(
+        params.weights, params.biases, grads.weights, grads.biases, state, config
     )
+    return MlpParams(new_w, new_b, params.output_activation), new_state
+
+
+def train_lockstep(
+    shape: NetworkShape,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    roles: list[tuple[int, int]],
+    seeds: list[int],
+    config: TrainConfig,
+    names: list[str],
+) -> list[tuple[MlpParams, list[float]]]:
+    """Train len(seeds) nets of one shape at once, one batched matmul per layer.
+
+    `inputs` (P, S, input_dim) and `labels` (P', S, output_dim) are pools of
+    sample rows shared by every net: net k maps inputs[roles[k][0]] to
+    labels[roles[k][1]], and its batches are gathered from those pools, so
+    no net gets a copy of its own. Net k owns the generator
+    `default_rng(seeds[k])`, which draws its He init and then one
+    permutation per epoch; `config.seed` is not read. Each net's weights
+    and losses are bit-identical to training it alone with `train`.
+
+    Returns one (params, per-epoch losses) pair per net, in seed order.
+    Each epoch's losses are checked once: the first non-finite one raises
+    NumericalError naming its net (`names[k]`) and the epoch.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if inputs.ndim != 3 or labels.ndim != 3 or inputs.shape[1] != labels.shape[1]:
+        raise ValidationError(
+            f"sample pools must be (P, S, dim) with equal S, got {inputs.shape} and {labels.shape}"
+        )
+    size = inputs.shape[1]
+    if size == 0:
+        raise ValidationError("cannot train on an empty sample set")
+    if shape.input_dim != inputs.shape[2] or shape.output_dim != labels.shape[2]:
+        raise ValidationError(
+            f"shape {shape.layer_dims} does not match sample dims "
+            f"{inputs.shape[2]} -> {labels.shape[2]}"
+        )
+    count = len(seeds)
+    if count < 1 or len(roles) != count or len(names) != count:
+        raise ValidationError(
+            f"need one role and name per seed, got {len(roles)} roles, "
+            f"{len(names)} names, {count} seeds"
+        )
+    if any(not (0 <= a < inputs.shape[0] and 0 <= b < labels.shape[0]) for a, b in roles):
+        raise ValidationError(f"roles {roles} index outside the sample pools")
+    src = np.array([a for a, _ in roles])[:, np.newaxis]
+    dst = np.array([b for _, b in roles])[:, np.newaxis]
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    inits = [_he_init(shape, rng) for rng in rngs]
+    weights = [np.stack(layer) for layer in zip(*(w for w, _ in inits))]
+    biases = [np.stack(layer) for layer in zip(*(b for _, b in inits))]
+    state = _zero_state(weights, biases)
+    relu_output = shape.output_activation == "relu"
+    history = np.empty((config.epochs, count))
+    for epoch in range(config.epochs):
+        order = np.stack([rng.permutation(size) for rng in rngs])
+        batch_losses = []
+        for start in range(0, size, config.batch_size):
+            idx = order[:, start : start + config.batch_size]
+            value, grad_w, grad_b = _loss_and_grads(
+                weights, biases, relu_output, inputs[src, idx], labels[dst, idx], config.l2_lambda
+            )
+            weights, biases, state = _adam_update(weights, biases, grad_w, grad_b, state, config)
+            batch_losses.append(value)
+        # (N, batches), reduced along rows: the same sum order as one net's np.mean
+        history[epoch] = np.mean(np.stack(batch_losses, axis=1), axis=1)
+        diverged = np.flatnonzero(~np.isfinite(history[epoch]))
+        if diverged.size:
+            raise NumericalError(
+                f"{names[diverged[0]]}: training loss is non-finite at epoch {epoch} "
+                f"(learning_rate={config.learning_rate})"
+            )
+    return [
+        (
+            MlpParams([w[k] for w in weights], [b[k] for b in biases], shape.output_activation),
+            [float(v) for v in history[:, k]],
+        )
+        for k in range(count)
+    ]
 
 
 def train(
     shape: NetworkShape, samples: SampleSet, config: TrainConfig
 ) -> tuple[MlpParams, list[float]]:
-    """Seeded mini-batch Adam training.
+    """Seeded mini-batch Adam training of one net: `train_lockstep` with N = 1.
 
     Samples are reshuffled every epoch with the generator that also drew
     the initial weights, so a fixed seed yields a bit-identical run. The
     final short batch of each epoch is trained on like any other. Returns
     the trained parameters and the mean mini-batch loss per epoch
-    (recorded before each update).
+    (recorded before each update). A non-finite epoch loss raises
+    NumericalError.
     """
-    if samples.size == 0:
-        raise ValidationError("cannot train on an empty sample set")
-    if shape.input_dim != samples.inputs.shape[1] or shape.output_dim != samples.labels.shape[1]:
-        raise ValidationError(
-            f"shape {shape.layer_dims} does not match sample dims "
-            f"{samples.inputs.shape[1]} -> {samples.labels.shape[1]}"
-        )
-    rng = np.random.default_rng(config.seed)
-    params = _init_from_rng(shape, rng)
-    state = init_adam_state(params)
-    history: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(samples.size)
-        batch_losses = []
-        for start in range(0, samples.size, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            value, grads = _loss_and_grads(
-                params, samples.inputs[idx], samples.labels[idx], config.l2_lambda
-            )
-            params, state = adam_step(params, grads, state, config)
-            batch_losses.append(value)
-        history.append(float(np.mean(batch_losses)))
+    [(params, history)] = train_lockstep(
+        shape,
+        samples.inputs[np.newaxis],
+        samples.labels[np.newaxis],
+        [(0, 0)],
+        [config.seed],
+        config,
+        ["network"],
+    )
     return params, history
 
 

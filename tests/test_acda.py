@@ -17,7 +17,14 @@ from acdkit.acda import (
 )
 from acdkit.core import HyperCube, IntensityMap, flatten
 from acdkit.errors import NumericalError, ValidationError
-from acdkit.neural import MlpParams, NetworkShape, SampleSet, TrainConfig, init_params
+from acdkit.neural import (
+    MlpParams,
+    NetworkShape,
+    SampleSet,
+    TrainConfig,
+    derived_seed,
+    init_params,
+)
 from acdkit.synth import AnomalyRect, SceneSpec, generate
 
 
@@ -289,6 +296,30 @@ class TestRunAcda:
         first, _ = run_acda(x, y, cfg)
         second, _ = run_acda(x, y, cfg)
         assert first.values.tobytes() == second.values.tobytes()
+
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_lockstep_equals_independent_predictors(self, activation):
+        # 150 samples at batch 32: every epoch ends on a short batch of 22.
+        x, y, _ = generate(_scene(seed=13))
+        cfg = AcdaConfig(
+            shape=NetworkShape.bottleneck(8, 5, 3, activation),
+            train=TrainConfig(epochs=4, batch_size=32, learning_rate=2e-3, l2_lambda=1e-4),
+            repeats=3,
+            base_seed=4,
+        )
+        samples = _explicit_samples(x, y, 150)
+        _, runs = run_acda(x, y, cfg, samples=samples)
+        fx, fy = flatten(x), flatten(y)
+        for r, run in enumerate(runs):
+            fwd = train_predictor(fx, fy, samples, cfg, seed=derived_seed(cfg.base_seed + r, 0))
+            bwd = train_predictor(fy, fx, samples, cfg, seed=derived_seed(cfg.base_seed + r, 1))
+            for params, history, (alone, alone_history) in (
+                (run.params_fwd, run.training_losses[0], fwd),
+                (run.params_bwd, run.training_losses[1], bwd),
+            ):
+                assert history == tuple(alone_history)
+                for got, want in zip(params.weights + params.biases, alone.weights + alone.biases):
+                    assert got.tobytes() == want.tobytes()
 
     def test_each_run_satisfies_min_dominance(self):
         x, y, _ = generate(_scene(seed=17, condition="affine", sigma=0.01))

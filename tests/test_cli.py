@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from acdkit.acda import AcdaConfig, run_acda
 from acdkit.cli import main
 from acdkit.core import cube_to_map, read_cube, read_mask
 from acdkit.errors import NumericalError
-from acdkit.evaluate import export_map, read_curve
+from acdkit.evaluate import export_map, read_curve, roc
 from acdkit.core import IntensityMap
+from acdkit.neural import NetworkShape, TrainConfig
 from acdkit.synth import AnomalyRect, SceneSpec, generate
 
 
@@ -249,6 +251,16 @@ class TestDetectAcda:
         assert code == 3
         assert "no change structure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_numerical_error(self, ws, tmp_path, capsys):
+        small = ws["small"]
+        code = main(["detect", "acda", str(small["x"]), str(small["y"]),
+                     "--set", "learning_rate=1e300", "--set", "epochs=2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: repeat 0 fwd predictor: training loss is non-finite at epoch" in err
+
 
 class TestEval:
     def _export(self, values, path):
@@ -317,6 +329,63 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["h1"] == [8, 6, 3]
         assert manifest["config"]["epochs"] == 10
+
+    @staticmethod
+    def _count_predetection(monkeypatch):
+        import acdkit.cli as cli_module
+
+        calls = []
+        original = cli_module.prepare_samples
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "prepare_samples", counted)
+        return calls
+
+    def test_predetection_runs_once_and_table_is_unchanged(self, ws, tmp_path, monkeypatch):
+        calls = self._count_predetection(monkeypatch)
+        small = ws["small"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [6, 5], "h2": [4, 3], "epochs": 3, "repeats": 2}),
+                        encoding="utf-8")
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(small["x"]), str(small["y"]), str(small["truth"]),
+                     str(grid), "--out", str(out)])
+        assert code == 0
+        assert len(calls) == 1
+        # Each cell scored on its own, with `run_acda` running its own pre-detection.
+        x_cube, y_cube = read_cube(small["x"]), read_cube(small["y"])
+        mask = read_mask(small["truth"])
+        expected = ["h2/h1,6,5"]
+        for h2 in (4, 3):
+            cells = []
+            for h1 in (6, 5):
+                cfg = AcdaConfig(
+                    shape=NetworkShape.bottleneck(8, h1, h2), train=TrainConfig(epochs=3),
+                    repeats=2,
+                )
+                mean_map, _ = run_acda(x_cube, y_cube, cfg)
+                cells.append(f"{roc(mean_map, mask).auc:.6f}")
+            expected.append(f"{h2}," + ",".join(cells))
+        assert (out / "sweep.csv").read_text() == "\n".join(expected) + "\n"
+
+    def test_failed_predetection_marks_every_cell_nan(self, ws, tmp_path, monkeypatch, caplog):
+        calls = self._count_predetection(monkeypatch)
+        flat = ws["flat"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [6, 5], "h2": [4], "epochs": 2, "repeats": 1}),
+                        encoding="utf-8")
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(flat["x"]), str(flat["y"]), str(flat["truth"]),
+                     str(grid), "--out", str(out)])
+        assert code == 0
+        assert len(calls) == 1
+        assert (out / "sweep.csv").read_text().splitlines() == ["h2/h1,6,5", "4,nan,nan"]
+        failures = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert len(failures) == 2
+        assert all("no change structure" in message for message in failures)
 
     def test_grid_missing_axis_rejected(self, ws, tmp_path):
         grid = tmp_path / "grid.json"

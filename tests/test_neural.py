@@ -1,10 +1,12 @@
 """Fully connected nets: init, forward, loss, exact gradients, Adam, training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from acdkit.errors import ValidationError
+from acdkit.errors import NumericalError, ValidationError
 from acdkit.neural import (
     AdamState,
     MlpParams,
@@ -22,6 +24,7 @@ from acdkit.neural import (
     loss,
     save_params,
     train,
+    train_lockstep,
 )
 
 
@@ -297,7 +300,98 @@ class TestAdamStep:
             adam_step(params, bad, init_adam_state(params), TrainConfig())
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("adam_beta1", 1.0),
+            ("adam_beta1", -0.1),
+            ("adam_beta2", 1.5),
+            ("adam_beta2", 1.0),
+            ("adam_eps", 0.0),
+            ("adam_eps", -1.0),
+            ("learning_rate", np.inf),
+            ("learning_rate", np.nan),
+        ],
+    )
+    def test_config_rejects_out_of_range_hyperparameters(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
+
+def _reference_train(shape, samples, config):
+    """`train` spelled out one step at a time through the public per-net API."""
+    rng = np.random.default_rng(config.seed)
+    dims = shape.layer_dims
+    params = MlpParams(
+        [
+            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])
+        ],
+        [np.zeros(fan_out) for fan_out in dims[1:]],
+        shape.output_activation,
+    )
+    state = init_adam_state(params)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(samples.size)
+        values = []
+        for start in range(0, samples.size, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            batch = SampleSet(samples.inputs[idx], samples.labels[idx])
+            values.append(loss(params, batch, config.l2_lambda))
+            grads = backward(params, batch, config.l2_lambda)
+            params, state = adam_step(params, grads, state, config)
+        history.append(float(np.mean(values)))
+    return params, history
+
+
+def _assert_same_net(trained, expected):
+    (params, history), (ref_params, ref_history) = trained, expected
+    assert history == ref_history
+    for got, want in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
+        assert got.tobytes() == want.tobytes()
+
+
 class TestTrain:
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_matches_reference_loop_bit_for_bit(self, activation):
+        # 37 samples at batch 8: four full batches and a short one per epoch.
+        rng = np.random.default_rng(71)
+        samples = SampleSet(rng.normal(size=(37, 4)), rng.uniform(0.0, 1.0, size=(37, 3)))
+        shape = NetworkShape(4, (6, 5), 3, activation)
+        config = TrainConfig(epochs=6, batch_size=8, learning_rate=1e-2, seed=13)
+        _assert_same_net(train(shape, samples, config), _reference_train(shape, samples, config))
+
+    def test_lockstep_matches_one_net_at_a_time(self):
+        rng = np.random.default_rng(73)
+        inputs = rng.normal(size=(2, 29, 4))
+        labels = rng.uniform(0.0, 1.0, size=(3, 29, 2))
+        shape = NetworkShape(4, (5,), 2, "relu")
+        config = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
+        roles = [(0, 2), (1, 0), (1, 2), (0, 2)]
+        seeds = [3, 4, 5, 6]
+        names = [f"net {k}" for k in range(len(seeds))]
+        trained = train_lockstep(shape, inputs, labels, roles, seeds, config, names)
+        assert len(trained) == len(seeds)
+        for (a, b), seed, got in zip(roles, seeds, trained):
+            alone = train(shape, SampleSet(inputs[a], labels[b]), replace(config, seed=seed))
+            _assert_same_net(got, alone)
+
+    def test_lockstep_rejects_roles_outside_pools(self):
+        pool = np.ones((2, 8, 3))
+        with pytest.raises(ValidationError, match="roles"):
+            train_lockstep(
+                NetworkShape(3, (4,), 3), pool, pool, [(0, 2)], [0], TrainConfig(), ["net"]
+            )
+
+    def test_divergence_is_numerical_error(self):
+        rng = np.random.default_rng(75)
+        inputs = rng.normal(size=(40, 3))
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="network.*epoch 0"):
+            train(NetworkShape(3, (4,), 3), SampleSet(inputs, inputs), config)
+
     def test_identity_task_converges(self):
         rng = np.random.default_rng(53)
         inputs = rng.uniform(0.5, 1.5, size=(300, 5))
