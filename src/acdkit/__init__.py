@@ -19,7 +19,6 @@ from .acda import (
     predict_image,
     prepare_samples,
     run_acda,
-    train_predictor,
 )
 from .baselines import LinearPredictor, baseline_map, diff_rx, fit_cc, fit_ce, run_baseline
 from .core import (
@@ -45,13 +44,9 @@ from .neural import (
     TrainConfig,
     adam_step,
     backward,
-    forward,
     forward_batch,
     init_params,
-    load_params,
     loss,
-    save_params,
-    train,
 )
 from .predetect import (
     ClusterResult,
@@ -100,13 +95,11 @@ __all__ = [
     "fit_cc",
     "fit_ce",
     "flatten",
-    "forward",
     "forward_batch",
     "fuse_min",
     "generate",
     "init_params",
     "kmeans_1d",
-    "load_params",
     "loss",
     "loss_map",
     "map_to_cube",
@@ -118,11 +111,8 @@ __all__ = [
     "roc",
     "run_acda",
     "run_baseline",
-    "save_params",
     "select_samples",
     "stretch2",
-    "train",
-    "train_predictor",
     "unflatten",
     "usfa_fit",
     "usfa_intensity",

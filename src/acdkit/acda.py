@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HyperCube, IntensityMap, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, flatten
 from .errors import ValidationError
 from .neural import (
     MlpParams,
@@ -96,46 +96,6 @@ class AcdaRun:
         )
 
 
-def _sample_pair(input_img: np.ndarray, label_img: np.ndarray, samples: SampleSet) -> np.ndarray:
-    """The sampled rows of both images as one (2, S, Q) pool: inputs, then labels."""
-    input_img = np.asarray(input_img, dtype=np.float64)
-    label_img = np.asarray(label_img, dtype=np.float64)
-    if input_img.shape != label_img.shape or input_img.ndim != 2:
-        raise ValidationError(
-            f"images disagree: {input_img.shape} vs {label_img.shape}"
-        )
-    if samples.indices is None:
-        raise ValidationError("sample set carries no pixel indices to orient training")
-    idx = samples.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= input_img.shape[0]):
-        raise ValidationError("sample indices fall outside the image")
-    return np.stack([input_img[idx], label_img[idx]])
-
-
-def train_predictor(
-    input_img: np.ndarray,
-    label_img: np.ndarray,
-    samples: SampleSet,
-    cfg: AcdaConfig,
-    seed: int | None = None,
-) -> tuple[MlpParams, list[float]]:
-    """Train one directional predictor on the sampled pixels.
-
-    Direction is set purely by argument order: rows of `input_img` at the
-    sample indices are the network inputs, the same rows of `label_img` the
-    regression targets. `seed=None` uses `cfg.train.seed`. Returns the
-    trained parameters and the per-epoch loss history, bit-identical to the
-    matching predictor that `run_acda` trains in lockstep with the others.
-    """
-    pair = _sample_pair(input_img, label_img, samples)
-    shape = cfg.resolved_shape(pair.shape[2])
-    seed = cfg.train.seed if seed is None else seed
-    [trained] = train_lockstep(
-        shape, pair, pair, [(0, 1)], [seed], cfg.train, ["predictor"]
-    )
-    return trained
-
-
 def predict_image(params: MlpParams, img: np.ndarray) -> np.ndarray:
     """Row-wise forward pass over an (M, Q) pixel matrix, chunked for memory."""
     img = np.asarray(img, dtype=np.float64)
@@ -187,11 +147,6 @@ def prepare_samples(x_cube: HyperCube, y_cube: HyperCube, cfg: AcdaConfig) -> Sa
     return select_samples(x, y, intensity, count, seed=cfg.base_seed)
 
 
-def _check_cubes(x_cube: HyperCube, y_cube: HyperCube) -> None:
-    if x_cube.shape != y_cube.shape:
-        raise ValidationError(f"cubes disagree: {x_cube.shape} vs {y_cube.shape}")
-
-
 def run_acda(
     x_cube: HyperCube,
     y_cube: HyperCube,
@@ -204,8 +159,9 @@ def run_acda(
     (`derived_seed(base_seed + r, 0)` for x -> y, `..., 1)` for y -> x), so
     every repeat starts from fresh weights while the whole run stays
     reproducible. All 2 x repeats predictors train together in one
-    `train_lockstep` call; each equals the net `train_predictor` trains
-    with its seed, bit for bit. The mean map is the pixelwise average of
+    `train_lockstep` call on the rows of `samples`; each equals the net
+    that a step-by-step loop over `loss`, `backward` and `adam_step` trains
+    from its seed, bit for bit. The mean map is the pixelwise average of
     the fused maps, accumulated in repeat order, so reruns are
     bit-identical. A predictor whose training loss turns non-finite raises
     NumericalError naming its repeat, direction and epoch.
@@ -217,7 +173,7 @@ def run_acda(
     y = flatten(y_cube)
     plane = (x_cube.height, x_cube.width)
 
-    pair = _sample_pair(x, y, samples)
+    pair = np.stack([samples.inputs, samples.labels])
     # direction 0 maps pool 0 (x) to pool 1 (y), direction 1 the reverse
     nets = [(r, direction) for r in range(cfg.repeats) for direction in (0, 1)]
     trained = train_lockstep(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acda import fuse_min, loss_map
-from .core import HyperCube, IntensityMap, _check_pair, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, flatten
 from .errors import ValidationError
 from .linalg import inv_sqrt, mean_cov, solve_spd, sym_sqrt
 
@@ -123,8 +123,7 @@ def run_baseline(
     """Fit both directions of a linear baseline and min-fuse their loss maps."""
     if kind not in BASELINE_KINDS:
         raise ValidationError(f"kind must be one of {BASELINE_KINDS}, got '{kind}'")
-    if x_cube.shape != y_cube.shape:
-        raise ValidationError(f"cubes disagree: {x_cube.shape} vs {y_cube.shape}")
+    _check_cubes(x_cube, y_cube)
     x = flatten(x_cube)
     y = flatten(y_cube)
     plane = (x_cube.height, x_cube.width)

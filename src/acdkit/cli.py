@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .acda import AcdaConfig, default_shape, prepare_samples, run_acda
 from .baselines import diff_rx, run_baseline
-from .core import cube_to_map, flatten, read_cube, read_mask, write_cube, write_mask
+from .core import _check_cubes, cube_to_map, flatten, read_cube, read_mask, write_cube, write_mask
 from .errors import AcdkitError, DataIOError, NumericalError, ValidationError
 from .evaluate import export_curve, export_map, export_map_pgm, roc
 from .neural import NetworkShape, TrainConfig
@@ -159,13 +159,11 @@ def _acda_config(conf: dict, bands: int) -> AcdaConfig:
         shape = NetworkShape.bottleneck(
             bands, _int_field(conf, "h1"), _int_field(conf, "h2"), activation
         )
-    base_seed = _int_field(conf, "base_seed")
     train = TrainConfig(
         epochs=_int_field(conf, "epochs"),
         batch_size=_int_field(conf, "batch_size"),
         learning_rate=_float_field(conf, "learning_rate"),
         l2_lambda=_float_field(conf, "l2_lambda"),
-        seed=base_seed,
     )
     sample_count = None if conf["sample_count"] is None else _int_field(conf, "sample_count")
     return AcdaConfig(
@@ -173,17 +171,14 @@ def _acda_config(conf: dict, bands: int) -> AcdaConfig:
         train=train,
         sample_count=sample_count,
         repeats=_int_field(conf, "repeats"),
-        base_seed=base_seed,
+        base_seed=_int_field(conf, "base_seed"),
     )
 
 
 def _read_pair(x_path, y_path):
     x_cube = read_cube(x_path)
     y_cube = read_cube(y_path)
-    if x_cube.shape != y_cube.shape:
-        raise ValidationError(
-            f"cube dimensions disagree: {x_cube.shape} vs {y_cube.shape}"
-        )
+    _check_cubes(x_cube, y_cube)
     return x_cube, y_cube
 
 

@@ -142,6 +142,12 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _check_cubes(x_cube: HyperCube, y_cube: HyperCube) -> None:
+    """Require two co-registered cubes of equal (height, width, bands)."""
+    if x_cube.shape != y_cube.shape:
+        raise ValidationError(f"cubes disagree: {x_cube.shape} vs {y_cube.shape}")
+
+
 def _raw_path(header_path: Path, raw_name: str) -> Path:
     return header_path.parent / raw_name
 

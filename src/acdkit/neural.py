@@ -13,13 +13,11 @@ shape stacked into (N, out, in) weights and (N, B, in) batches, which is how
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIOError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 OUTPUT_ACTIVATIONS = ("linear", "relu")
 
@@ -115,13 +113,6 @@ class MlpParams:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.output_activation,
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -134,7 +125,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -182,10 +172,6 @@ class SampleSet:
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
-
-    def swapped(self) -> "SampleSet":
-        """The same pixel pairs with input and label roles exchanged."""
-        return SampleSet(self.labels, self.inputs, self.indices)
 
 
 @dataclass
@@ -239,15 +225,6 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np
             f"batch shape {batch.shape} does not match input_dim {params.input_dim}"
         )
     return _forward(params.weights, params.biases, params.output_activation == "relu", batch)
-
-
-def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Single-vector forward pass; see `forward_batch`."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValidationError(f"expected a 1-D spectrum, got shape {vec.shape}")
-    out, acts = forward_batch(params, vec[np.newaxis, :])
-    return out[0], [a[0] for a in acts]
 
 
 def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
@@ -378,12 +355,16 @@ def train_lockstep(
     labels[roles[k][1]], and its batches are gathered from those pools, so
     no net gets a copy of its own. Net k owns the generator
     `default_rng(seeds[k])`, which draws its He init and then one
-    permutation per epoch; `config.seed` is not read. Each net's weights
-    and losses are bit-identical to training it alone with `train`.
+    permutation per epoch, so a fixed seed yields a bit-identical run. The
+    final short batch of each epoch is trained on like any other. Each
+    net's weights and losses are bit-identical to training it alone, one
+    batch at a time, through `loss`, `backward` and `adam_step`.
 
-    Returns one (params, per-epoch losses) pair per net, in seed order.
-    Each epoch's losses are checked once: the first non-finite one raises
-    NumericalError naming its net (`names[k]`) and the epoch.
+    Returns one (params, per-epoch losses) pair per net, in seed order; an
+    epoch's loss is the mean of its mini-batch losses, each taken before
+    its update. Each epoch's losses are checked once: the first non-finite
+    one raises NumericalError naming its net (`names[k]`) and the epoch.
+    Overflow on the way there is expected and raises no numpy warning.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -417,24 +398,28 @@ def train_lockstep(
     state = _zero_state(weights, biases)
     relu_output = shape.output_activation == "relu"
     history = np.empty((config.epochs, count))
-    for epoch in range(config.epochs):
-        order = np.stack([rng.permutation(size) for rng in rngs])
-        batch_losses = []
-        for start in range(0, size, config.batch_size):
-            idx = order[:, start : start + config.batch_size]
-            value, grad_w, grad_b = _loss_and_grads(
-                weights, biases, relu_output, inputs[src, idx], labels[dst, idx], config.l2_lambda
-            )
-            weights, biases, state = _adam_update(weights, biases, grad_w, grad_b, state, config)
-            batch_losses.append(value)
-        # (N, batches), reduced along rows: the same sum order as one net's np.mean
-        history[epoch] = np.mean(np.stack(batch_losses, axis=1), axis=1)
-        diverged = np.flatnonzero(~np.isfinite(history[epoch]))
-        if diverged.size:
-            raise NumericalError(
-                f"{names[diverged[0]]}: training loss is non-finite at epoch {epoch} "
-                f"(learning_rate={config.learning_rate})"
-            )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            order = np.stack([rng.permutation(size) for rng in rngs])
+            batch_losses = []
+            for start in range(0, size, config.batch_size):
+                idx = order[:, start : start + config.batch_size]
+                value, grad_w, grad_b = _loss_and_grads(
+                    weights, biases, relu_output,
+                    inputs[src, idx], labels[dst, idx], config.l2_lambda,
+                )
+                weights, biases, state = _adam_update(
+                    weights, biases, grad_w, grad_b, state, config
+                )
+                batch_losses.append(value)
+            # (N, batches), reduced along rows: the same sum order as one net's np.mean
+            history[epoch] = np.mean(np.stack(batch_losses, axis=1), axis=1)
+            diverged = np.flatnonzero(~np.isfinite(history[epoch]))
+            if diverged.size:
+                raise NumericalError(
+                    f"{names[diverged[0]]}: training loss is non-finite at epoch {epoch} "
+                    f"(learning_rate={config.learning_rate})"
+                )
     return [
         (
             MlpParams([w[k] for w in weights], [b[k] for b in biases], shape.output_activation),
@@ -442,84 +427,6 @@ def train_lockstep(
         )
         for k in range(count)
     ]
-
-
-def train(
-    shape: NetworkShape, samples: SampleSet, config: TrainConfig
-) -> tuple[MlpParams, list[float]]:
-    """Seeded mini-batch Adam training of one net: `train_lockstep` with N = 1.
-
-    Samples are reshuffled every epoch with the generator that also drew
-    the initial weights, so a fixed seed yields a bit-identical run. The
-    final short batch of each epoch is trained on like any other. Returns
-    the trained parameters and the mean mini-batch loss per epoch
-    (recorded before each update). A non-finite epoch loss raises
-    NumericalError.
-    """
-    [(params, history)] = train_lockstep(
-        shape,
-        samples.inputs[np.newaxis],
-        samples.labels[np.newaxis],
-        [(0, 0)],
-        [config.seed],
-        config,
-        ["network"],
-    )
-    return params, history
-
-
-def save_params(params: MlpParams, path) -> None:
-    """Serialize params as a JSON header plus one raw float64 blob per layer.
-
-    Each layer's blob is the row-major weight matrix followed by the bias
-    vector, little-endian. Loading restores the exact float64 values.
-    """
-    header_path = Path(path)
-    layers = []
-    try:
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            raw_name = f"{header_path.stem}.layer{i}.raw"
-            blob = np.concatenate([w.ravel(), b]).astype("<f8").tobytes()
-            (header_path.parent / raw_name).write_bytes(blob)
-            layers.append({"out": w.shape[0], "in": w.shape[1], "raw": raw_name})
-        header = {
-            "dtype": "f64",
-            "output_activation": params.output_activation,
-            "layers": layers,
-        }
-        header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot write params to {header_path}: {exc}") from exc
-
-
-def load_params(path) -> MlpParams:
-    """Inverse of `save_params`."""
-    header_path = Path(path)
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataIOError(f"cannot read params header {header_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataIOError(f"malformed params header {header_path}: {exc}") from exc
-    if header.get("dtype") != "f64":
-        raise DataIOError(f"unsupported params dtype '{header.get('dtype')}'")
-    weights, biases = [], []
-    for layer in header["layers"]:
-        out_dim, in_dim = int(layer["out"]), int(layer["in"])
-        raw_path = header_path.parent / layer["raw"]
-        try:
-            blob = raw_path.read_bytes()
-        except OSError as exc:
-            raise DataIOError(f"cannot read params blob {raw_path}: {exc}") from exc
-        expected = (out_dim * in_dim + out_dim) * 8
-        if len(blob) != expected:
-            raise DataIOError(
-                f"params blob {raw_path} holds {len(blob)} bytes, header implies {expected}"
-            )
-        flat = np.frombuffer(blob, dtype="<f8")
-        weights.append(flat[: out_dim * in_dim].reshape(out_dim, in_dim).copy())
-        biases.append(flat[out_dim * in_dim :].copy())
-    return MlpParams(weights, biases, header.get("output_activation", "linear"))
 
 
 def derived_seed(base: int, *keys: int) -> int:

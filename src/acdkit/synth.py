@@ -10,7 +10,7 @@ Every byte of the output is a pure function of the scene spec.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -363,8 +363,3 @@ def describe(spec: SceneSpec) -> str:
         },
     }
     return json.dumps(manifest, indent=2)
-
-
-def with_seed(spec: SceneSpec, seed: int) -> SceneSpec:
-    """The same scene recipe under a different random seed."""
-    return replace(spec, seed=seed)

@@ -1,8 +1,17 @@
-"""Shared test oracles: finite-difference gradients and rank-based AUC."""
+"""Shared test oracles: finite-difference gradients, a step-by-step trainer and rank-based AUC."""
 
 import numpy as np
 
-from acdkit.neural import MlpParams, NetworkShape, SampleSet, init_params, loss
+from acdkit.neural import (
+    MlpParams,
+    NetworkShape,
+    SampleSet,
+    adam_step,
+    backward,
+    init_adam_state,
+    init_params,
+    loss,
+)
 
 
 def finite_difference_grads(params, batch, l2_lambda, step=1e-4):
@@ -80,6 +89,47 @@ def generic_gradient_case(shape: NetworkShape, seed: int, batch_rows: int = 6):
         if kink_margin(params, batch) > 1e-3:
             return params, batch
         attempt += 1000
+
+
+def reference_train(shape: NetworkShape, samples: SampleSet, config, seed: int):
+    """One net trained one step at a time through the public per-net API.
+
+    The oracle for `train_lockstep`: `default_rng(seed)` draws the He init
+    and then one permutation per epoch, every mini-batch (the short last one
+    included) takes one `loss`, `backward` and `adam_step`, and an epoch's
+    loss is the mean of its mini-batch losses. Returns (params, history).
+    """
+    rng = np.random.default_rng(seed)
+    dims = shape.layer_dims
+    params = MlpParams(
+        [
+            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])
+        ],
+        [np.zeros(fan_out) for fan_out in dims[1:]],
+        shape.output_activation,
+    )
+    state = init_adam_state(params)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(samples.size)
+        values = []
+        for start in range(0, samples.size, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            batch = SampleSet(samples.inputs[idx], samples.labels[idx])
+            values.append(loss(params, batch, config.l2_lambda))
+            grads = backward(params, batch, config.l2_lambda)
+            params, state = adam_step(params, grads, state, config)
+        history.append(float(np.mean(values)))
+    return params, history
+
+
+def assert_same_net(trained, expected):
+    """Two (params, history) pairs agree bit for bit."""
+    (params, history), (ref_params, ref_history) = trained, expected
+    assert list(history) == list(ref_history)
+    for got, want in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
+        assert got.tobytes() == want.tobytes()
 
 
 def mann_whitney_auc(anomaly_scores, background_scores):

@@ -13,7 +13,6 @@ from acdkit.acda import (
     predict_image,
     prepare_samples,
     run_acda,
-    train_predictor,
 )
 from acdkit.core import HyperCube, IntensityMap, flatten
 from acdkit.errors import NumericalError, ValidationError
@@ -23,9 +22,13 @@ from acdkit.neural import (
     SampleSet,
     TrainConfig,
     derived_seed,
+    forward_batch,
     init_params,
+    train_lockstep,
 )
 from acdkit.synth import AnomalyRect, SceneSpec, generate
+
+from helpers import assert_same_net, reference_train
 
 
 def _sampled(img_in, img_out, count, seed=0):
@@ -47,12 +50,26 @@ def _small_cfg(bands, epochs=150):
     )
 
 
+def _train_directions(samples, cfg, seeds):
+    """Train predictors on `samples` as `run_acda` does, from one (2, S, Q) pool.
+
+    Direction is set by the roles alone: the net of seeds[0] maps x rows to
+    y rows, the net of seeds[1] (if given) y rows to x rows.
+    """
+    pair = np.stack([samples.inputs, samples.labels])
+    roles = [(0, 1), (1, 0)][: len(seeds)]
+    return train_lockstep(
+        cfg.resolved_shape(pair.shape[2]), pair, pair, roles, seeds, cfg.train,
+        [f"net {k}" for k in range(len(seeds))],
+    )
+
+
 class TestTrainPredictor:
     def test_autoencoder_convergence(self):
         rng = np.random.default_rng(3)
         img = rng.uniform(0.5, 1.5, size=(600, 6))
         samples = _sampled(img, img, 300)
-        params, history = train_predictor(img, img, samples, _small_cfg(6))
+        [(_, history)] = _train_directions(samples, _small_cfg(6), [0])
         assert history[-1] < 0.05 * history[0]
 
     def test_affine_labels_converge_below_label_variance(self):
@@ -66,7 +83,7 @@ class TestTrainPredictor:
         y = x * gains + rng.uniform(-0.1, 0.1, size=6)
         samples = _sampled(x, y, 500)
         cfg = _small_cfg(6, epochs=300)
-        params, _ = train_predictor(x, y, samples, cfg)
+        [(params, _)] = _train_directions(samples, cfg, [0])
         mse = float(np.mean(np.sum((predict_image(params, x) - y) ** 2, axis=1)))
         assert mse < 1e-3 * float(np.var(y, axis=0).sum())
 
@@ -78,24 +95,11 @@ class TestTrainPredictor:
         y = 0.7 * x + 0.2  # invertible per-band map
         samples = _sampled(x, y, 500)
         cfg = _small_cfg(6, epochs=400)
-        fwd, _ = train_predictor(x, y, samples, cfg, seed=3)
-        bwd, _ = train_predictor(y, x, samples, cfg, seed=4)
+        (fwd, _), (bwd, _) = _train_directions(samples, cfg, [3, 4])
         fwd_mse = float(np.mean((predict_image(fwd, x) - y) ** 2))
         bwd_mse = float(np.mean((predict_image(bwd, y) - x) ** 2))
         assert fwd_mse < 1e-3
         assert bwd_mse < 1e-3
-
-    def test_requires_indices(self):
-        img = np.ones((50, 4))
-        samples = SampleSet(img[:10], img[:10])  # no indices
-        with pytest.raises(ValidationError, match="indices"):
-            train_predictor(img, img, samples, _small_cfg(4))
-
-    def test_rejects_out_of_range_indices(self):
-        img = np.ones((50, 4))
-        samples = SampleSet(img[:5], img[:5], indices=np.array([0, 1, 2, 3, 99]))
-        with pytest.raises(ValidationError, match="outside"):
-            train_predictor(img, img, samples, _small_cfg(4))
 
 
 class TestPredictImage:
@@ -105,13 +109,11 @@ class TestPredictImage:
         assert_array_equal(out, np.zeros((12, 4)))
 
     def test_single_pixel_matches_forward(self):
-        from acdkit.neural import forward
-
         params = init_params(NetworkShape(5, (3,), 5), seed=3)
-        spectrum = np.linspace(-1.0, 1.0, 5)
-        out = predict_image(params, spectrum[np.newaxis, :])
-        single, _ = forward(params, spectrum)
-        assert_allclose(out[0], single, rtol=1e-15)
+        spectrum = np.linspace(-1.0, 1.0, 5)[np.newaxis, :]
+        out = predict_image(params, spectrum)
+        single, _ = forward_batch(params, spectrum)
+        assert_allclose(out, single, rtol=1e-15)
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(13)
@@ -309,17 +311,25 @@ class TestRunAcda:
         )
         samples = _explicit_samples(x, y, 150)
         _, runs = run_acda(x, y, cfg, samples=samples)
-        fx, fy = flatten(x), flatten(y)
+        reversed_samples = SampleSet(samples.labels, samples.inputs)
         for r, run in enumerate(runs):
-            fwd = train_predictor(fx, fy, samples, cfg, seed=derived_seed(cfg.base_seed + r, 0))
-            bwd = train_predictor(fy, fx, samples, cfg, seed=derived_seed(cfg.base_seed + r, 1))
-            for params, history, (alone, alone_history) in (
-                (run.params_fwd, run.training_losses[0], fwd),
-                (run.params_bwd, run.training_losses[1], bwd),
+            for params, history, direction, pool in (
+                (run.params_fwd, run.training_losses[0], 0, samples),
+                (run.params_bwd, run.training_losses[1], 1, reversed_samples),
             ):
-                assert history == tuple(alone_history)
-                for got, want in zip(params.weights + params.biases, alone.weights + alone.biases):
-                    assert got.tobytes() == want.tobytes()
+                alone = reference_train(
+                    cfg.shape, pool, cfg.train, derived_seed(cfg.base_seed + r, direction)
+                )
+                assert_same_net((params, history), alone)
+
+    def test_rejects_samples_that_do_not_fit_the_cubes(self):
+        x, y, _ = generate(_scene(seed=13))
+        other_x, other_y, _ = generate(
+            SceneSpec(height=16, width=16, bands=6, n_endmembers=3, seed=13)
+        )
+        samples = _explicit_samples(other_x, other_y, 50)
+        with pytest.raises(ValidationError, match="match"):
+            run_acda(x, y, _run_cfg(epochs=2), samples=samples)
 
     def test_each_run_satisfies_min_dominance(self):
         x, y, _ = generate(_scene(seed=17, condition="affine", sigma=0.01))

@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -253,13 +254,20 @@ class TestDetectAcda:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numerical_error(self, ws, tmp_path, capsys):
+        # The error line is all the user sees: no numpy RuntimeWarning on the way.
         small = ws["small"]
-        code = main(["detect", "acda", str(small["x"]), str(small["y"]),
-                     "--set", "learning_rate=1e300", "--set", "epochs=2",
-                     "--out", str(tmp_path / "o")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["detect", "acda", str(small["x"]), str(small["y"]),
+                         "--set", "learning_rate=1e300", "--set", "epochs=2",
+                         "--out", str(tmp_path / "o")])
         assert code == 3
-        err = capsys.readouterr().err
-        assert "error: repeat 0 fwd predictor: training loss is non-finite at epoch" in err
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: repeat 0 fwd predictor: training loss is non-finite at epoch"
+        )
 
 
 class TestEval:

@@ -1,6 +1,6 @@
 """Fully connected nets: init, forward, loss, exact gradients, Adam, training."""
 
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -16,23 +16,21 @@ from acdkit.neural import (
     adam_step,
     backward,
     derived_seed,
-    forward,
     forward_batch,
     init_adam_state,
     init_params,
-    load_params,
     loss,
-    save_params,
-    train,
     train_lockstep,
 )
 
 
 from helpers import (
+    assert_same_net,
     finite_difference_grads,
     generic_gradient_case,
     kink_margin,
     max_relative_error,
+    reference_train,
 )
 
 
@@ -104,19 +102,19 @@ class TestForward:
         params = MlpParams(
             [np.zeros((4, 3)), np.zeros((3, 4))], [np.zeros(4), np.zeros(3)]
         )
-        out, acts = forward(params, np.array([1.0, -2.0, 3.0]))
-        assert_array_equal(out, np.zeros(3))
+        out, acts = forward_batch(params, np.array([[1.0, -2.0, 3.0]]))
+        assert_array_equal(out, np.zeros((1, 3)))
         assert len(acts) == 3
 
     def test_single_relu_layer(self):
         params = _identity_params(2, "relu")
-        out, _ = forward(params, np.array([-1.0, 2.0]))
-        assert_array_equal(out, [0.0, 2.0])
+        out, _ = forward_batch(params, np.array([[-1.0, 2.0]]))
+        assert_array_equal(out, [[0.0, 2.0]])
 
     def test_linear_output_preserves_sign(self):
         params = _identity_params(2, "linear")
-        out, _ = forward(params, np.array([-1.0, 2.0]))
-        assert_array_equal(out, [-1.0, 2.0])
+        out, _ = forward_batch(params, np.array([[-1.0, 2.0]]))
+        assert_array_equal(out, [[-1.0, 2.0]])
 
     def test_matches_independent_recomposition(self):
         rng = np.random.default_rng(9)
@@ -127,9 +125,9 @@ class TestForward:
             current = w @ current + b
             if i < params.n_layers - 1 or params.output_activation == "relu":
                 current = np.maximum(current, 0.0)
-        out, acts = forward(params, x)
-        assert_allclose(out, current, rtol=1e-12)
-        assert_array_equal(acts[0], x)
+        out, acts = forward_batch(params, x[np.newaxis, :])
+        assert_allclose(out[0], current, rtol=1e-12)
+        assert_array_equal(acts[0][0], x)
         assert_array_equal(acts[-1], out)
 
     def test_batch_row_agrees_with_single_vector(self):
@@ -138,13 +136,13 @@ class TestForward:
         batch = rng.normal(size=(8, 4))
         outs, _ = forward_batch(params, batch)
         for i in range(8):
-            single, _ = forward(params, batch[i])
-            assert_allclose(outs[i], single, rtol=1e-12)
+            single, _ = forward_batch(params, batch[i : i + 1])
+            assert_allclose(outs[i], single[0], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         params = _identity_params(3)
         with pytest.raises(ValidationError, match="input_dim"):
-            forward(params, np.ones(4))
+            forward_batch(params, np.ones((1, 4)))
 
 
 class TestLoss:
@@ -284,7 +282,7 @@ class TestAdamStep:
         config = TrainConfig()
 
         def run():
-            p, s = params.copy(), init_adam_state(params)
+            p, s = params, init_adam_state(params)
             for g in grad_seq:
                 p, s = adam_step(p, g, s, config)
             return p
@@ -319,38 +317,12 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
-def _reference_train(shape, samples, config):
-    """`train` spelled out one step at a time through the public per-net API."""
-    rng = np.random.default_rng(config.seed)
-    dims = shape.layer_dims
-    params = MlpParams(
-        [
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-            for fan_in, fan_out in zip(dims[:-1], dims[1:])
-        ],
-        [np.zeros(fan_out) for fan_out in dims[1:]],
-        shape.output_activation,
+def _train_one(shape, inputs, labels, config, seed):
+    """One net through `train_lockstep`: pools of one input and one label block."""
+    [trained] = train_lockstep(
+        shape, inputs[np.newaxis], labels[np.newaxis], [(0, 0)], [seed], config, ["network"]
     )
-    state = init_adam_state(params)
-    history = []
-    for _ in range(config.epochs):
-        order = rng.permutation(samples.size)
-        values = []
-        for start in range(0, samples.size, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = SampleSet(samples.inputs[idx], samples.labels[idx])
-            values.append(loss(params, batch, config.l2_lambda))
-            grads = backward(params, batch, config.l2_lambda)
-            params, state = adam_step(params, grads, state, config)
-        history.append(float(np.mean(values)))
-    return params, history
-
-
-def _assert_same_net(trained, expected):
-    (params, history), (ref_params, ref_history) = trained, expected
-    assert history == ref_history
-    for got, want in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
-        assert got.tobytes() == want.tobytes()
+    return trained
 
 
 class TestTrain:
@@ -358,10 +330,13 @@ class TestTrain:
     def test_matches_reference_loop_bit_for_bit(self, activation):
         # 37 samples at batch 8: four full batches and a short one per epoch.
         rng = np.random.default_rng(71)
-        samples = SampleSet(rng.normal(size=(37, 4)), rng.uniform(0.0, 1.0, size=(37, 3)))
+        inputs, labels = rng.normal(size=(37, 4)), rng.uniform(0.0, 1.0, size=(37, 3))
         shape = NetworkShape(4, (6, 5), 3, activation)
-        config = TrainConfig(epochs=6, batch_size=8, learning_rate=1e-2, seed=13)
-        _assert_same_net(train(shape, samples, config), _reference_train(shape, samples, config))
+        config = TrainConfig(epochs=6, batch_size=8, learning_rate=1e-2)
+        assert_same_net(
+            _train_one(shape, inputs, labels, config, seed=13),
+            reference_train(shape, SampleSet(inputs, labels), config, seed=13),
+        )
 
     def test_lockstep_matches_one_net_at_a_time(self):
         rng = np.random.default_rng(73)
@@ -375,8 +350,8 @@ class TestTrain:
         trained = train_lockstep(shape, inputs, labels, roles, seeds, config, names)
         assert len(trained) == len(seeds)
         for (a, b), seed, got in zip(roles, seeds, trained):
-            alone = train(shape, SampleSet(inputs[a], labels[b]), replace(config, seed=seed))
-            _assert_same_net(got, alone)
+            alone = reference_train(shape, SampleSet(inputs[a], labels[b]), config, seed)
+            assert_same_net(got, alone)
 
     def test_lockstep_rejects_roles_outside_pools(self):
         pool = np.ones((2, 8, 3))
@@ -386,54 +361,52 @@ class TestTrain:
             )
 
     def test_divergence_is_numerical_error(self):
+        # The overflow on the way to a non-finite loss raises no numpy warning:
+        # with warnings as errors, the NumericalError is still what surfaces.
         rng = np.random.default_rng(75)
         inputs = rng.normal(size=(40, 3))
         config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e300)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="network.*epoch 0"):
-            train(NetworkShape(3, (4,), 3), SampleSet(inputs, inputs), config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="network.*epoch 0"):
+                _train_one(NetworkShape(3, (4,), 3), inputs, inputs, config, seed=0)
 
     def test_identity_task_converges(self):
         rng = np.random.default_rng(53)
         inputs = rng.uniform(0.5, 1.5, size=(300, 5))
-        samples = SampleSet(inputs, inputs)
-        config = TrainConfig(epochs=200, batch_size=32, l2_lambda=0.0, seed=0)
-        _, history = train(NetworkShape(5, (8,), 5), samples, config)
+        config = TrainConfig(epochs=200, batch_size=32, l2_lambda=0.0)
+        _, history = _train_one(NetworkShape(5, (8,), 5), inputs, inputs, config, seed=0)
         assert history[-1] < 0.01 * history[0]
 
     def test_affine_task_converges(self):
         rng = np.random.default_rng(57)
         inputs = rng.normal(size=(1000, 3))
         labels = 2.0 * inputs + 1.0
-        samples = SampleSet(inputs, labels)
-        config = TrainConfig(
-            epochs=200, batch_size=64, learning_rate=3e-3, l2_lambda=0.0, seed=1
-        )
-        params, history = train(NetworkShape(3, (16,), 3), samples, config)
+        config = TrainConfig(epochs=200, batch_size=64, learning_rate=3e-3, l2_lambda=0.0)
+        params, history = _train_one(NetworkShape(3, (16,), 3), inputs, labels, config, seed=1)
         label_variance = float(np.var(labels, axis=0).sum())
         out, _ = forward_batch(params, inputs)
         final_mse = float(np.sum((out - labels) ** 2)) / inputs.shape[0]
         assert final_mse < 1e-3 * label_variance
 
     def test_fixed_seed_bit_identical_history(self):
+        # Reruns agree, and so do two nets given one seed within one call.
         rng = np.random.default_rng(61)
-        inputs = rng.normal(size=(64, 4))
-        samples = SampleSet(inputs, inputs)
-        config = TrainConfig(epochs=10, batch_size=16, seed=5)
+        inputs = rng.normal(size=(64, 4))[np.newaxis]
+        config = TrainConfig(epochs=10, batch_size=16)
         shape = NetworkShape(4, (6,), 4)
-        params_a, hist_a = train(shape, samples, config)
-        params_b, hist_b = train(shape, samples, config)
-        assert hist_a == hist_b
-        for wa, wb in zip(params_a.weights, params_b.weights):
-            assert wa.tobytes() == wb.tobytes()
+        first = train_lockstep(shape, inputs, inputs, [(0, 0)] * 2, [5, 5], config, ["a", "b"])
+        again = train_lockstep(shape, inputs, inputs, [(0, 0)] * 2, [5, 5], config, ["a", "b"])
+        for trained in (first[1], again[0], again[1]):
+            assert_same_net(trained, first[0])
 
     def test_moving_average_of_identity_loss_is_non_increasing(self):
         # Full-batch steps (default batch 256 > S) keep the per-epoch loss
         # free of reshuffling noise, so the smoothed trend is clean.
         rng = np.random.default_rng(65)
         inputs = rng.uniform(0.5, 1.5, size=(200, 4))
-        samples = SampleSet(inputs, inputs)
-        config = TrainConfig(epochs=200, l2_lambda=0.0, seed=2)
-        _, history = train(NetworkShape(4, (6,), 4), samples, config)
+        config = TrainConfig(epochs=200, l2_lambda=0.0)
+        _, history = _train_one(NetworkShape(4, (6,), 4), inputs, inputs, config, seed=2)
         window = 20
         kernel = np.ones(window) / window
         moving = np.convolve(history, kernel, mode="valid")
@@ -444,43 +417,22 @@ class TestTrain:
         # must still converge on the identity task.
         rng = np.random.default_rng(69)
         inputs = rng.uniform(0.5, 1.5, size=(10, 3))
-        samples = SampleSet(inputs, inputs)
-        config = TrainConfig(epochs=300, batch_size=8, l2_lambda=0.0, seed=3)
-        _, history = train(NetworkShape(3, (5,), 3), samples, config)
+        config = TrainConfig(epochs=300, batch_size=8, l2_lambda=0.0)
+        _, history = _train_one(NetworkShape(3, (5,), 3), inputs, inputs, config, seed=3)
         assert history[-1] < 0.05 * history[0]
 
     def test_empty_samples_rejected(self):
-        samples = SampleSet(np.empty((0, 3)), np.empty((0, 3)))
+        empty = np.empty((0, 3))
         with pytest.raises(ValidationError, match="empty"):
-            train(NetworkShape(3, (4,), 3), samples, TrainConfig())
+            _train_one(NetworkShape(3, (4,), 3), empty, empty, TrainConfig(), seed=0)
 
     def test_sample_dim_mismatch_rejected(self):
-        samples = SampleSet(np.ones((8, 3)), np.ones((8, 3)))
+        ones = np.ones((8, 3))
         with pytest.raises(ValidationError, match="match"):
-            train(NetworkShape(4, (4,), 4), samples, TrainConfig())
-
-
-class TestParamsSerialization:
-    def test_round_trip_bit_identical(self, tmp_path):
-        params = init_params(NetworkShape(6, (4, 2, 4), 6, "relu"), seed=31)
-        path = tmp_path / "net.json"
-        save_params(params, path)
-        again = load_params(path)
-        assert again.output_activation == "relu"
-        for wa, wb in zip(params.weights, again.weights):
-            assert wa.tobytes() == wb.tobytes()
-        for ba, bb in zip(params.biases, again.biases):
-            assert ba.tobytes() == bb.tobytes()
+            _train_one(NetworkShape(4, (4,), 4), ones, ones, TrainConfig(), seed=0)
 
 
 class TestSampleSet:
-    def test_swapped_exchanges_roles(self):
-        rng = np.random.default_rng(73)
-        a, b = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-        swapped = SampleSet(a, b).swapped()
-        assert_array_equal(swapped.inputs, b)
-        assert_array_equal(swapped.labels, a)
-
     def test_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
             SampleSet(np.ones((4, 2)), np.ones((5, 2)))

@@ -1,6 +1,7 @@
 """Synthetic scene generator: determinism, ground truth, condition realism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from acdkit.baselines import diff_rx, run_baseline
 from acdkit.core import flatten
 from acdkit.errors import DataIOError, ValidationError
 from acdkit.neural import NetworkShape, TrainConfig
-from acdkit.synth import AnomalyRect, SceneSpec, describe, generate, with_seed
+from acdkit.synth import AnomalyRect, SceneSpec, describe, generate
 
 
 def _spec(**overrides):
@@ -131,7 +132,7 @@ class TestGenerate:
 
     def test_with_seed_changes_only_the_draw(self):
         spec = _spec()
-        other = with_seed(spec, 99)
+        other = replace(spec, seed=99)
         assert other.seed == 99
         assert other.to_dict() | {"seed": spec.seed} == spec.to_dict()
         x1, _, _ = generate(spec)
@@ -254,7 +255,7 @@ class TestDetectability:
         cfg = AcdaConfig(
             shape=NetworkShape.bottleneck(8, 5, 3),
             train=TrainConfig(epochs=150, batch_size=32, learning_rate=2e-3,
-                              l2_lambda=1e-4, seed=0),
+                              l2_lambda=1e-4),
             sample_count=800,
             repeats=2,
             base_seed=1,
