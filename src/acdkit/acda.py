@@ -61,6 +61,8 @@ class AcdaConfig:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
         if self.sample_count is not None and self.sample_count < 1:
             raise ValidationError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.base_seed < 0:
+            raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.shape is not None:
             self.shape.require_bottleneck()
 

@@ -18,7 +18,16 @@ from pathlib import Path
 from . import __version__
 from .acda import AcdaConfig, default_shape, prepare_samples, run_acda
 from .baselines import diff_rx, run_baseline
-from .core import _check_cubes, cube_to_map, flatten, read_cube, read_mask, write_cube, write_mask
+from .core import (
+    _check_cubes,
+    _is_int,
+    cube_to_map,
+    flatten,
+    read_cube,
+    read_mask,
+    write_cube,
+    write_mask,
+)
 from .errors import AcdkitError, DataIOError, NumericalError, ValidationError
 from .evaluate import export_curve, export_map, export_map_pgm, roc
 from .neural import NetworkShape, TrainConfig
@@ -136,17 +145,17 @@ def _load_config(path, defaults: dict, overrides: list[str]) -> dict:
 
 
 def _int_field(conf: dict, key: str) -> int:
-    try:
-        return int(conf[key])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key '{key}' must be an integer, got {conf[key]!r}") from exc
+    value = conf[key]
+    if not _is_int(value):
+        raise ValidationError(f"config key '{key}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def _float_field(conf: dict, key: str) -> float:
-    try:
-        return float(conf[key])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key '{key}' must be a number, got {conf[key]!r}") from exc
+    value = conf[key]
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ValidationError(f"config key '{key}' must be a number, got {value!r}")
+    return float(value)
 
 
 def _acda_config(conf: dict, bands: int) -> AcdaConfig:
@@ -301,10 +310,14 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"grid {args.grid} is not valid JSON: {exc}") from exc
     if not isinstance(grid, dict) or "h1" not in grid or "h2" not in grid:
         raise ValidationError("grid must be a JSON object with 'h1' and 'h2' lists")
-    h1_values = sorted({int(v) for v in grid["h1"]}, reverse=True)
-    h2_values = sorted({int(v) for v in grid["h2"]}, reverse=True)
-    if not h1_values or not h2_values:
-        raise ValidationError("grid lists must be non-empty")
+    for axis in ("h1", "h2"):
+        values = grid[axis]
+        if not (isinstance(values, list) and values and all(_is_int(v) for v in values)):
+            raise ValidationError(
+                f"grid '{axis}' must be a non-empty list of integers, got {values!r}"
+            )
+    h1_values = sorted(set(grid["h1"]), reverse=True)
+    h2_values = sorted(set(grid["h2"]), reverse=True)
     shared = {k: v for k, v in grid.items() if k not in ("h1", "h2")}
     unknown = set(shared) - set(_ACDA_DEFAULTS)
     if unknown:
@@ -324,8 +337,9 @@ def cmd_sweep(args) -> int:
                 continue
             cell_conf = dict(conf)
             cell_conf["h1"], cell_conf["h2"] = h1, h2
+            # A bad shared setting fails every cell alike, so it ends the sweep.
+            cfg = _acda_config(cell_conf, bands)
             try:
-                cfg = _acda_config(cell_conf, bands)
                 if predetected is None:
                     try:
                         predetected = prepare_samples(x_cube, y_cube, cfg)

@@ -131,6 +131,11 @@ def unflatten(matrix: np.ndarray, shape: tuple[int, int]) -> HyperCube:
     return HyperCube(m.reshape(h, w, m.shape[1]))
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Promote two (M, Q) pixel matrices to float64 and require equal shapes."""
     x = np.asarray(x, dtype=np.float64)

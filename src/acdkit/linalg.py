@@ -26,7 +26,6 @@ class Stats:
 
     mean: np.ndarray  # (Q,)
     cov: np.ndarray  # (Q, Q), symmetric PSD up to tolerance
-    count: int
 
 
 def _as_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -62,7 +61,7 @@ def mean_cov(m: np.ndarray) -> Stats:
     mean = arr.mean(axis=0)
     centered = arr - mean
     cov = centered.T @ centered / rows
-    return Stats(mean=mean, cov=(cov + cov.T) / 2.0, count=rows)
+    return Stats(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

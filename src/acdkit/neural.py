@@ -3,6 +3,8 @@
 Plain numpy, float64 throughout: He-normal init, ReLU hidden layers, a
 selectable linear or ReLU output layer, squared-error loss with L2 weight
 decay, exact reverse-mode gradients, Adam, and seeded mini-batch training.
+Adam uses the constants recommended by Kingma & Ba (ICLR 2015): beta1 = 0.9,
+beta2 = 0.999, eps = 1e-8; only the learning rate is configurable.
 Everything is deterministic under a fixed seed.
 
 The forward, gradient and Adam kernels are rank-polymorphic: the same code
@@ -20,6 +22,10 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 OUTPUT_ACTIVATIONS = ("linear", "relu")
+
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -122,9 +128,6 @@ class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 1e-3
     l2_lambda: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -137,12 +140,6 @@ class TrainConfig:
             )
         if self.l2_lambda < 0:
             raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValidationError(f"{name} must be in [0, 1), got {value}")
-        if not self.adam_eps > 0:
-            raise ValidationError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -302,12 +299,7 @@ def init_adam_state(params: MlpParams) -> AdamState:
 
 def _adam_update(weights, biases, grad_w, grad_b, state: AdamState, config: TrainConfig):
     """One bias-corrected Adam update on raw arrays, one net or N stacked nets."""
-    b1, b2, eps, lr = (
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_eps,
-        config.learning_rate,
-    )
+    b1, b2, eps, lr = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, config.learning_rate
     t = state.step + 1
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t

@@ -33,8 +33,7 @@ class UsfaModel:
     first); `eigenvalues` are the matching generalized eigenvalues in
     ascending order. `fallback` records that no eigenvalue satisfied the
     lambda < 1 retention rule and the single slowest component was kept
-    instead. `standardization` names the score scaling so downstream
-    artifacts can state how intensities were normalized.
+    instead.
     """
 
     projection: np.ndarray  # (K, Q)
@@ -42,7 +41,6 @@ class UsfaModel:
     mean_x: np.ndarray  # (Q,)
     mean_y: np.ndarray  # (Q,)
     fallback: bool = False
-    standardization: str = "eigenvalue-scaled"
 
     def __post_init__(self):
         proj = np.asarray(self.projection, dtype=np.float64)
@@ -92,10 +90,6 @@ class ClusterResult:
             raise ValidationError("assignments reference nonexistent clusters")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "assignments", assignments)
-
-    @property
-    def k(self) -> int:
-        return self.centers.size
 
 
 def usfa_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> UsfaModel:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GroundTruthMask, HyperCube
+from .core import GroundTruthMask, HyperCube, _is_int
 from .errors import DataIOError, NumericalError, ValidationError
 
 CONDITIONS = ("identical", "affine", "nonlinear")
@@ -37,6 +37,13 @@ _ANOMALY_RMS = 0.06
 _ANOMALY_DRAW_LIMIT = 64
 
 
+def _require_ints(obj, names: tuple[str, ...], what: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not _is_int(value):
+            raise ValidationError(f"{what} {name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnomalyRect:
     """Axis-aligned rectangle (x = column, y = row) with a change mode.
@@ -53,6 +60,7 @@ class AnomalyRect:
     mode: str = "insert_t2"
 
     def __post_init__(self):
+        _require_ints(self, ("x", "y", "w", "h"), "rect")
         if self.w < 1 or self.h < 1:
             raise ValidationError(f"rect must have positive size, got {self.w}x{self.h}")
         if self.x < 0 or self.y < 0:
@@ -88,10 +96,13 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, ("height", "width", "bands", "n_endmembers", "seed"), "scene")
         if self.height < 1 or self.width < 1 or self.bands < 1:
             raise ValidationError(
                 f"scene dims must be positive, got {self.height}x{self.width}x{self.bands}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_endmembers < 2:
             raise ValidationError(f"n_endmembers must be >= 2, got {self.n_endmembers}")
         if self.condition not in CONDITIONS:

@@ -207,6 +207,10 @@ class TestConfig:
         with pytest.raises(ValidationError, match="repeats"):
             AcdaConfig(repeats=0)
 
+    def test_rejects_negative_base_seed(self):
+        with pytest.raises(ValidationError, match="base_seed"):
+            AcdaConfig(base_seed=-1)
+
     def test_resolved_shape_band_mismatch(self):
         cfg = AcdaConfig(shape=NetworkShape.bottleneck(8, 5, 3))
         with pytest.raises(ValidationError, match="bands"):

@@ -27,6 +27,10 @@ def _emit_pairs(captured: str) -> dict:
     return pairs
 
 
+def _error_lines(capsys) -> list[str]:
+    return capsys.readouterr().err.splitlines()
+
+
 def _write_spec(path, spec: SceneSpec):
     path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
     return path
@@ -119,6 +123,24 @@ class TestSynth:
         bad.write_text('{"height": 0}', encoding="utf-8")
         assert main(["synth", str(bad), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"height": 16.5},
+            {"height": True},
+            {"anomalies": [{"x": 1.5, "y": 0, "w": 2, "h": 2}]},
+            {"seed": -1},
+        ],
+        ids=["height-float", "height-bool", "rect-x-float", "seed-negative"],
+    )
+    def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, override):
+        spec = {"height": 8, "width": 8, "bands": 4, "n_endmembers": 2, "seed": 1}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**spec, **override}), encoding="utf-8")
+        assert main(["synth", str(bad), "--out", str(tmp_path / "o")]) == 1
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestDetectLinear:
     def test_diffrx_identical_pair_scores_zero(self, ws, tmp_path):
@@ -128,6 +150,12 @@ class TestDetectLinear:
         assert code == 0
         values = cube_to_map(read_cube(out / "map.json")).values
         assert values.max() == 0.0
+
+    def test_boolean_ridge_rejected(self, ws, tmp_path, capsys):
+        code = main(["detect", "cc", str(ws["small"]["x"]), str(ws["small"]["y"]),
+                     "--set", "ridge=true", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert _error_lines(capsys) == ["error: config key 'ridge' must be a number, got True"]
 
     @pytest.mark.parametrize("method", ["cc", "ce"])
     def test_linear_methods_produce_maps(self, ws, tmp_path, method, capsys):
@@ -244,6 +272,19 @@ class TestDetectAcda:
         code = main(["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
                      "--set", "epochs=soon", "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["epochs=soon", "epochs=1.7", "repeats=true", "learning_rate=true", "base_seed=-1"],
+    )
+    def test_mistyped_setting_is_one_error_line(self, ws, tmp_path, capsys, setting):
+        code = main(["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
+                     "--set", setting, "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert setting.partition("=")[0] in lines[0]
+        assert not (tmp_path / "o" / "map.raw").exists()
 
     def test_identical_pair_is_numerical_error(self, ws, tmp_path, capsys):
         flat = ws["flat"]
@@ -401,6 +442,21 @@ class TestSweep:
         code = main(["sweep", str(ws["small"]["x"]), str(ws["small"]["y"]),
                      str(ws["small"]["truth"]), str(grid), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "grid_keys",
+        [{"h1": ["a"], "h2": [2]}, {"h1": 5, "h2": [2]}, {"h1": [4.5], "h2": [2]},
+         {"h1": [4], "h2": [True]}, {"h1": [], "h2": [2]}, {"h1": [4], "h2": [2], "epochs": 1.7}],
+        ids=["string", "scalar", "float", "bool", "empty", "shared-float-epochs"],
+    )
+    def test_malformed_grid_is_one_error_line(self, ws, tmp_path, capsys, grid_keys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"epochs": 1, "repeats": 1, **grid_keys}), encoding="utf-8")
+        code = main(["sweep", str(ws["small"]["x"]), str(ws["small"]["y"]),
+                     str(ws["small"]["truth"]), str(grid), "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestDispatch:

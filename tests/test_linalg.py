@@ -26,7 +26,6 @@ class TestMeanCov:
         stats = mean_cov(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         assert_allclose(stats.mean, [3.0, 4.0])
         assert_allclose(stats.cov, np.full((2, 2), 8.0 / 3.0))
-        assert stats.count == 3
 
     def test_degenerate_column(self):
         stats = mean_cov(np.array([[1.0, 0.0], [-1.0, 0.0]]))

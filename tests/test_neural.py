@@ -302,12 +302,6 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("adam_beta1", 1.0),
-            ("adam_beta1", -0.1),
-            ("adam_beta2", 1.5),
-            ("adam_beta2", 1.0),
-            ("adam_eps", 0.0),
-            ("adam_eps", -1.0),
             ("learning_rate", np.inf),
             ("learning_rate", np.nan),
         ],

@@ -1,4 +1,5 @@
-"""Property tests for the scoring maths: AUC rank invariance and min-fusion dominance.
+"""Property tests for the scoring maths: AUC rank invariance, min-fusion dominance,
+and Diff-RX / SFA invariance under a band transform shared by both acquisitions.
 
 Hypothesis draws the inputs; `derandomize=True` makes every run draw the same
 examples, so a failure reproduces and CI stays deterministic.
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from acdkit.acda import fuse_min
+from acdkit.baselines import diff_rx
 from acdkit.core import GroundTruthMask, IntensityMap
 from acdkit.evaluate import roc
+from acdkit.predetect import usfa_fit, usfa_intensity
 
 deterministic = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -66,3 +69,57 @@ def test_fuse_min_never_exceeds_either_input(maps):
     assert np.all(fused <= a.values)
     assert np.all(fused <= b.values)
     assert np.all((fused == a.values) | (fused == b.values))
+
+
+@st.composite
+def transformed_pairs(draw):
+    """A noisy linear pair (x, y) and an invertible band transform A = O diag(s).
+
+    O is orthogonal and every scale s lies in [0.5, 2]. The difference y - x
+    carries independent noise in every band, which keeps cov(x - y) well
+    conditioned.
+    """
+    bands = draw(st.integers(2, 8))
+    shape = (draw(st.integers(4, 8)), draw(st.integers(4, 8)))
+    scales = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=bands, max_size=bands)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = shape[0] * shape[1]
+    x = rng.normal(size=(pixels, bands)) * rng.uniform(0.5, 2.0, size=bands)
+    x += rng.normal(size=bands)
+    gain = np.eye(bands) + 0.3 * rng.normal(size=(bands, bands))
+    y = x @ gain + 0.5 * rng.normal(size=(pixels, bands))
+    orthogonal, _ = np.linalg.qr(rng.normal(size=(bands, bands)))
+    return x, y, orthogonal * scales, shape
+
+
+def _assert_close_maps(moved, base, rtol):
+    """Every pixel within `rtol` of the base map's largest score."""
+    assert np.max(np.abs(moved - base)) <= rtol * np.max(np.abs(base))
+
+
+@deterministic
+@given(case=transformed_pairs())
+def test_diff_rx_unchanged_under_shared_band_transform(case):
+    # The Mahalanobis score of d = x - y is invariant under d -> A d. The default
+    # ridge (1e-6 * trace / dim) is not, so it only holds to about 1e-6 * cond(cov d).
+    x, y, transform, shape = case
+    moved_x, moved_y = x @ transform.T, y @ transform.T
+    for ridge, rtol in ((0.0, 1e-9), (None, 1e-4)):
+        base = diff_rx(x, y, shape, ridge).values
+        moved = diff_rx(moved_x, moved_y, shape, ridge).values
+        _assert_close_maps(moved, base, rtol)
+
+
+@deterministic
+@given(case=transformed_pairs())
+def test_sfa_unchanged_under_shared_band_transform(case):
+    # cov(x - y) w = lambda cov_shared w keeps its eigenvalues under a shared
+    # transform (Wu, Du & Zhang, TGRS 2014), and the projected scores follow.
+    x, y, transform, shape = case
+    moved_x, moved_y = x @ transform.T, y @ transform.T
+    model = usfa_fit(x, y, ridge=0.0)
+    moved_model = usfa_fit(moved_x, moved_y, ridge=0.0)
+    assert moved_model.n_components == model.n_components
+    base = usfa_intensity(model, x, y, shape).values
+    moved = usfa_intensity(moved_model, moved_x, moved_y, shape).values
+    _assert_close_maps(moved, base, 1e-9)
