@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HyperCube, IntensityMap, _check_cubes, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _require_int, flatten
 from .errors import ValidationError
 from .neural import (
     MlpParams,
@@ -57,6 +57,10 @@ class AcdaConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        _require_int(self.repeats, "repeats")
+        _require_int(self.base_seed, "base_seed")
+        if self.sample_count is not None:
+            _require_int(self.sample_count, "sample_count")
         if self.repeats < 1:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
         if self.sample_count is not None and self.sample_count < 1:

@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -21,6 +22,9 @@ from .baselines import diff_rx, run_baseline
 from .core import (
     _check_cubes,
     _is_int,
+    _read_json_object,
+    _require_number,
+    _write_text,
     cube_to_map,
     flatten,
     read_cube,
@@ -33,16 +37,15 @@ from .evaluate import export_curve, export_map, export_map_pgm, roc
 from .neural import NetworkShape, TrainConfig
 from .synth import SceneSpec, describe, generate
 
+_TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_lambda")
+_RUN_KEYS = ("sample_count", "repeats", "base_seed")
 _RUN_DEFAULTS = AcdaConfig()
 _ACDA_DEFAULTS = {
     "h1": None,
     "h2": None,
     "output_activation": "linear",
-    **{
-        key: getattr(_RUN_DEFAULTS.train, key)
-        for key in ("epochs", "batch_size", "learning_rate", "l2_lambda")
-    },
-    **{key: getattr(_RUN_DEFAULTS, key) for key in ("sample_count", "repeats", "base_seed")},
+    **{key: getattr(_RUN_DEFAULTS.train, key) for key in _TRAIN_KEYS},
+    **{key: getattr(_RUN_DEFAULTS, key) for key in _RUN_KEYS},
 }
 _LINEAR_DEFAULTS = {"ridge": None}
 
@@ -88,10 +91,7 @@ def _write_manifest(
         "wall_clock_seconds": round(time.perf_counter() - started, 3),
     }
     path = out_dir / "manifest.json"
-    try:
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot write manifest {path}: {exc}") from exc
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n", "manifest")
     return path
 
 
@@ -116,23 +116,12 @@ def _coerce(text: str):
         return text
 
 
-def _load_config(path, defaults: dict, overrides: list[str]) -> dict:
-    merged = dict(defaults)
-    if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataIOError(f"cannot read config {path}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError(f"config {path} must hold a JSON object")
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(data)
+def _load_config(defaults: dict, data: dict, overrides: list[str]) -> dict:
+    """Defaults, then the keys of a config object `data`, then `--set` overrides."""
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    merged = {**defaults, **data}
     for item in overrides or []:
         key, sep, value = item.partition("=")
         key = key.strip()
@@ -144,44 +133,18 @@ def _load_config(path, defaults: dict, overrides: list[str]) -> dict:
     return merged
 
 
-def _int_field(conf: dict, key: str) -> int:
-    value = conf[key]
-    if not _is_int(value):
-        raise ValidationError(f"config key '{key}' must be an integer, got {value!r}")
-    return int(value)
+def _acda_config(conf: dict, shape: NetworkShape | None) -> AcdaConfig:
+    """The run config of merged settings `conf`; the dataclasses check every value."""
+    train = TrainConfig(**{key: conf[key] for key in _TRAIN_KEYS})
+    return AcdaConfig(shape=shape, train=train, **{key: conf[key] for key in _RUN_KEYS})
 
 
-def _float_field(conf: dict, key: str) -> float:
-    value = conf[key]
-    if not (_is_int(value) or isinstance(value, float)):
-        raise ValidationError(f"config key '{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _acda_config(conf: dict, bands: int) -> AcdaConfig:
+def _acda_shape(conf: dict, bands: int) -> NetworkShape:
     if (conf["h1"] is None) != (conf["h2"] is None):
         raise ValidationError("h1 and h2 must be set together")
-    activation = str(conf["output_activation"])
     if conf["h1"] is None:
-        shape = default_shape(bands, activation)
-    else:
-        shape = NetworkShape.bottleneck(
-            bands, _int_field(conf, "h1"), _int_field(conf, "h2"), activation
-        )
-    train = TrainConfig(
-        epochs=_int_field(conf, "epochs"),
-        batch_size=_int_field(conf, "batch_size"),
-        learning_rate=_float_field(conf, "learning_rate"),
-        l2_lambda=_float_field(conf, "l2_lambda"),
-    )
-    sample_count = None if conf["sample_count"] is None else _int_field(conf, "sample_count")
-    return AcdaConfig(
-        shape=shape,
-        train=train,
-        sample_count=sample_count,
-        repeats=_int_field(conf, "repeats"),
-        base_seed=_int_field(conf, "base_seed"),
-    )
+        return default_shape(bands, conf["output_activation"])
+    return NetworkShape.bottleneck(bands, conf["h1"], conf["h2"], conf["output_activation"])
 
 
 def _read_pair(x_path, y_path):
@@ -199,7 +162,7 @@ def cmd_synth(args) -> int:
     write_cube(x_cube, out / "x.json")
     write_cube(y_cube, out / "y.json")
     write_mask(mask, out / "truth.pgm")
-    (out / "scene.json").write_text(describe(spec) + "\n", encoding="utf-8")
+    _write_text(out / "scene.json", describe(spec) + "\n", "scene description")
     outputs = _cube_files(out / "x.json") + _cube_files(out / "y.json")
     outputs += [out / "truth.pgm", out / "scene.json"]
     manifest = _write_manifest(
@@ -221,17 +184,18 @@ def _write_histories(runs, path: Path) -> None:
         for direction, series in zip(("fwd", "bwd"), run.training_losses):
             for epoch, value in enumerate(series):
                 lines.append(f"{r},{direction},{epoch},{value!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n", "loss history")
 
 
 def cmd_detect(args) -> int:
     started = time.perf_counter()
     x_cube, y_cube = _read_pair(args.x, args.y)
-    out = _ensure_out_dir(args.out)
+    data = {} if args.config is None else _read_json_object(args.config, "config")
     outputs: list[Path] = []
     if args.method == "acda":
-        conf = _load_config(args.config, _ACDA_DEFAULTS, args.set)
-        cfg = _acda_config(conf, x_cube.bands)
+        conf = _load_config(_ACDA_DEFAULTS, data, args.set)
+        cfg = _acda_config(conf, _acda_shape(conf, x_cube.bands))
+        out = _ensure_out_dir(args.out)
         samples = prepare_samples(x_cube, y_cube, cfg)
         mean_map, runs = run_acda(x_cube, y_cube, cfg, samples=samples)
         export_map(mean_map, out / "map.json")
@@ -240,7 +204,7 @@ def cmd_detect(args) -> int:
         outputs.append(out / "losses.csv")
         if args.save_samples:
             sample_lines = ["index"] + [str(i) for i in samples.indices]
-            (out / "samples.csv").write_text("\n".join(sample_lines) + "\n", encoding="utf-8")
+            _write_text(out / "samples.csv", "\n".join(sample_lines) + "\n", "sample indices")
             outputs.append(out / "samples.csv")
         if args.save_run_maps:
             for r, run in enumerate(runs):
@@ -257,8 +221,11 @@ def cmd_detect(args) -> int:
         snapshot["h1"], snapshot["h2"] = cfg.shape.hidden[0], cfg.shape.hidden[1]
         snapshot["resolved_sample_count"] = samples.size
     else:
-        conf = _load_config(args.config, _LINEAR_DEFAULTS, args.set)
-        ridge = None if conf["ridge"] is None else _float_field(conf, "ridge")
+        conf = _load_config(_LINEAR_DEFAULTS, data, args.set)
+        ridge = conf["ridge"]
+        if ridge is not None:
+            ridge = _require_number(ridge, "config key 'ridge'")
+        out = _ensure_out_dir(args.out)
         if args.method == "diffrx":
             plane = (x_cube.height, x_cube.width)
             intensity = diff_rx(flatten(x_cube), flatten(y_cube), plane, ridge)
@@ -301,30 +268,29 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     x_cube, y_cube = _read_pair(args.x, args.y)
     mask = read_mask(args.mask, expected_shape=(x_cube.height, x_cube.width))
-    out = _ensure_out_dir(args.out)
-    try:
-        grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataIOError(f"cannot read grid {args.grid}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"grid {args.grid} is not valid JSON: {exc}") from exc
-    if not isinstance(grid, dict) or "h1" not in grid or "h2" not in grid:
-        raise ValidationError("grid must be a JSON object with 'h1' and 'h2' lists")
+    grid = _read_json_object(args.grid, "grid")
+    axes = []
     for axis in ("h1", "h2"):
-        values = grid[axis]
+        values = grid.pop(axis, None)
         if not (isinstance(values, list) and values and all(_is_int(v) for v in values)):
             raise ValidationError(
                 f"grid '{axis}' must be a non-empty list of integers, got {values!r}"
             )
-    h1_values = sorted(set(grid["h1"]), reverse=True)
-    h2_values = sorted(set(grid["h2"]), reverse=True)
-    shared = {k: v for k, v in grid.items() if k not in ("h1", "h2")}
-    unknown = set(shared) - set(_ACDA_DEFAULTS)
-    if unknown:
-        raise ValidationError(f"unknown grid config keys: {sorted(unknown)}")
-    conf = _load_config(None, dict(_ACDA_DEFAULTS, **shared), args.set)
-
+        axes.append(sorted(set(values), reverse=True))
+    h1_values, h2_values = axes
+    conf = _load_config(_ACDA_DEFAULTS, grid, args.set)
+    shared = _acda_config(conf, None)
     bands = x_cube.bands
+    configs = {
+        (h1, h2): replace(
+            shared, shape=NetworkShape.bottleneck(bands, h1, h2, conf["output_activation"])
+        )
+        for h2 in h2_values
+        for h1 in h1_values
+        if 0 < h2 < h1 < bands
+    }
+    out = _ensure_out_dir(args.out)
+
     # Pre-detection reads only sample_count and base_seed, which every cell
     # shares: the first cell runs it and later cells reuse its samples or error.
     predetected = None
@@ -332,13 +298,10 @@ def cmd_sweep(args) -> int:
     for h2 in h2_values:
         cells = []
         for h1 in h1_values:
-            if not (0 < h2 < h1 < bands):
+            cfg = configs.get((h1, h2))
+            if cfg is None:
                 cells.append("-")
                 continue
-            cell_conf = dict(conf)
-            cell_conf["h1"], cell_conf["h2"] = h1, h2
-            # A bad shared setting fails every cell alike, so it ends the sweep.
-            cfg = _acda_config(cell_conf, bands)
             try:
                 if predetected is None:
                     try:
@@ -357,14 +320,11 @@ def cmd_sweep(args) -> int:
             _emit(**{f"auc_h1_{h1}_h2_{h2}": f"{auc:.6f}"})
         rows.append(f"{h2}," + ",".join(cells))
     table = out / "sweep.csv"
-    try:
-        table.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot write sweep table {table}: {exc}") from exc
+    _write_text(table, "\n".join(rows) + "\n", "sweep table")
     inputs = _cube_files(args.x) + _cube_files(args.y) + [Path(args.mask), Path(args.grid)]
     manifest = _write_manifest(
         out, "sweep", dict(conf, h1=h1_values, h2=h2_values), inputs, [table],
-        [_int_field(conf, "base_seed")], started,
+        [shared.base_seed], started,
     )
     _emit(table=table, manifest=manifest)
     return 0
@@ -393,10 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_detect.add_argument("--out", required=True, help="output directory")
     p_detect.add_argument(
-        "--sequential", action="store_true",
-        help="accepted for compatibility; runs are always sequential and bit-identical",
-    )
-    p_detect.add_argument(
         "--save-run-maps", action="store_true", help="also write per-repeat directional maps"
     )
     p_detect.add_argument(
@@ -419,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", action="append", metavar="KEY=VALUE", help="override a shared config key"
     )
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument(
-        "--sequential", action="store_true",
-        help="accepted for compatibility; runs are always sequential and bit-identical",
-    )
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

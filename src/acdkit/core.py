@@ -136,6 +136,43 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_int(value, name: str) -> int:
+    """Return `value` as an int, or raise ValidationError naming the setting."""
+    if not _is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_number(value, name: str) -> float:
+    """Return an integer or float `value` as a float; bools and the rest are rejected."""
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _read_json_object(path, what: str) -> dict:
+    """Parse the JSON object held in file `path`, described as `what` in errors."""
+    try:
+        payload = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataIOError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        data = json.loads(payload)
+    except ValueError as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return data
+
+
+def _write_text(path, text: str, what: str) -> None:
+    """Write `text` as UTF-8 to `path`; any OS failure becomes a DataIOError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataIOError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Promote two (M, Q) pixel matrices to float64 and require equal shapes."""
     x = np.asarray(x, dtype=np.float64)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GroundTruthMask, IntensityMap, map_to_cube, write_cube, write_pgm
+from .core import GroundTruthMask, IntensityMap, _write_text, map_to_cube, write_cube, write_pgm
 from .errors import DataIOError, ValidationError
 
 
@@ -118,10 +118,7 @@ def export_curve(curve: RocCurve, path) -> None:
     for t, f, d in zip(curve.thresholds, curve.far, curve.dr):
         lines.append(f"{float(t)!r},{float(f)!r},{float(d)!r}")
     lines.append(f"# auc={curve.auc:.6f}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot write curve to {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n", "curve")
 
 
 def read_curve(path) -> RocCurve:

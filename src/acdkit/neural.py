@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require_int, _require_number
 from .errors import NumericalError, ValidationError
 
 OUTPUT_ACTIVATIONS = ("linear", "relu")
@@ -38,7 +39,10 @@ class NetworkShape:
     output_activation: str = "linear"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        hidden = tuple(_require_int(h, "hidden layer width") for h in self.hidden)
+        object.__setattr__(self, "hidden", hidden)
+        _require_int(self.input_dim, "input_dim")
+        _require_int(self.output_dim, "output_dim")
         widths = (self.input_dim, *self.hidden, self.output_dim)
         if any(w < 1 for w in widths):
             raise ValidationError(f"all layer widths must be >= 1, got {widths}")
@@ -130,6 +134,10 @@ class TrainConfig:
     l2_lambda: float = 1e-3
 
     def __post_init__(self):
+        _require_int(self.epochs, "epochs")
+        _require_int(self.batch_size, "batch_size")
+        _require_number(self.learning_rate, "learning_rate")
+        _require_number(self.l2_lambda, "l2_lambda")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

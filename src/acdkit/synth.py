@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .core import GroundTruthMask, HyperCube, _is_int
-from .errors import DataIOError, NumericalError, ValidationError
+from .core import GroundTruthMask, HyperCube, _read_json_object, _require_int, _require_number
+from .errors import NumericalError, ValidationError
 
 CONDITIONS = ("identical", "affine", "nonlinear")
 ANOMALY_MODES = ("insert_t2", "remove_t2")
@@ -37,13 +36,6 @@ _ANOMALY_RMS = 0.06
 _ANOMALY_DRAW_LIMIT = 64
 
 
-def _require_ints(obj, names: tuple[str, ...], what: str) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not _is_int(value):
-            raise ValidationError(f"{what} {name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AnomalyRect:
     """Axis-aligned rectangle (x = column, y = row) with a change mode.
@@ -60,7 +52,8 @@ class AnomalyRect:
     mode: str = "insert_t2"
 
     def __post_init__(self):
-        _require_ints(self, ("x", "y", "w", "h"), "rect")
+        for name in ("x", "y", "w", "h"):
+            _require_int(getattr(self, name), f"rect {name}")
         if self.w < 1 or self.h < 1:
             raise ValidationError(f"rect must have positive size, got {self.w}x{self.h}")
         if self.x < 0 or self.y < 0:
@@ -96,7 +89,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self, ("height", "width", "bands", "n_endmembers", "seed"), "scene")
+        for name in ("height", "width", "bands", "n_endmembers", "seed"):
+            _require_int(getattr(self, name), f"scene {name}")
+        for name in ("condition_strength", "noise_sigma"):
+            _require_number(getattr(self, name), f"scene {name}")
         if self.height < 1 or self.width < 1 or self.bands < 1:
             raise ValidationError(
                 f"scene dims must be positive, got {self.height}x{self.width}x{self.bands}"
@@ -149,16 +145,7 @@ class SceneSpec:
 
     @classmethod
     def from_json_file(cls, path) -> "SceneSpec":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataIOError(f"cannot read scene spec {path}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scene spec {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError(f"scene spec {path} must hold a JSON object")
+        data = _read_json_object(path, "scene spec")
         try:
             return cls.from_dict(data)
         except TypeError as exc:

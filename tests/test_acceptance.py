@@ -238,7 +238,7 @@ def test_criterion_7_sequential_cli_is_bit_identical(tmp_path):
         out = tmp_path / name
         code = main([
             "detect", "acda", str(scene_dir / "x.json"), str(scene_dir / "y.json"),
-            "--sequential", "--set", "epochs=25", "--set", "repeats=3",
+            "--set", "epochs=25", "--set", "repeats=3",
             "--out", str(out),
         ])
         assert code == 0

@@ -211,6 +211,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match="base_seed"):
             AcdaConfig(base_seed=-1)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("field", ["repeats", "sample_count", "base_seed"])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            AcdaConfig(**{field: value})
+
     def test_resolved_shape_band_mismatch(self):
         cfg = AcdaConfig(shape=NetworkShape.bottleneck(8, 5, 3))
         with pytest.raises(ValidationError, match="bands"):

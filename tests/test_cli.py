@@ -130,8 +130,11 @@ class TestSynth:
             {"height": True},
             {"anomalies": [{"x": 1.5, "y": 0, "w": 2, "h": 2}]},
             {"seed": -1},
+            {"noise_sigma": True},
+            {"condition_strength": True},
         ],
-        ids=["height-float", "height-bool", "rect-x-float", "seed-negative"],
+        ids=["height-float", "height-bool", "rect-x-float", "seed-negative", "noise-bool",
+             "strength-bool"],
     )
     def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, override):
         spec = {"height": 8, "width": 8, "bands": 4, "n_endmembers": 2, "seed": 1}
@@ -140,6 +143,14 @@ class TestSynth:
         assert main(["synth", str(bad), "--out", str(tmp_path / "o")]) == 1
         lines = _error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_undecodable_spec_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"height": \xff}')
+        assert main(["synth", str(bad), "--out", str(tmp_path / "o")]) == 1
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith(f"error: scene spec {bad} is not valid JSON")
+        assert not (tmp_path / "o").exists()
 
 
 class TestDetectLinear:
@@ -156,6 +167,7 @@ class TestDetectLinear:
                      "--set", "ridge=true", "--out", str(tmp_path / "o")])
         assert code == 1
         assert _error_lines(capsys) == ["error: config key 'ridge' must be a number, got True"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("method", ["cc", "ce"])
     def test_linear_methods_produce_maps(self, ws, tmp_path, method, capsys):
@@ -218,7 +230,7 @@ class TestDetectAcda:
 
     def test_sequential_reruns_are_bit_identical(self, ws, tmp_path):
         args = ["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
-                "--sequential", "--set", "epochs=5", "--set", "repeats=2"]
+                "--set", "epochs=5", "--set", "repeats=2"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
@@ -284,7 +296,7 @@ class TestDetectAcda:
         lines = _error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert setting.partition("=")[0] in lines[0]
-        assert not (tmp_path / "o" / "map.raw").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_identical_pair_is_numerical_error(self, ws, tmp_path, capsys):
         flat = ws["flat"]
@@ -364,7 +376,7 @@ class TestSweep:
         )
         out = tmp_path / "sweep"
         code = main(["sweep", str(wide["x"]), str(wide["y"]), str(wide["truth"]),
-                     str(grid), "--sequential", "--out", str(out)])
+                     str(grid), "--out", str(out)])
         assert code == 0
         pairs = _emit_pairs(capsys.readouterr().out)
         lines = (out / "sweep.csv").read_text().strip().splitlines()
@@ -457,6 +469,26 @@ class TestSweep:
         assert code == 1
         lines = _error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("synth", "scene.json"), ("acda", "losses.csv"), ("acda", "samples.csv")],
+    )
+    def test_unwritable_text_output_is_io_error(self, ws, tmp_path, capsys, command, blocked):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        if command == "synth":
+            argv = ["synth", str(ws["small"]["spec_path"])]
+        else:
+            argv = ["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
+                    "--set", "epochs=1", "--set", "repeats=1", "--save-samples"]
+        assert main(argv + ["--out", str(out)]) == 2
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+        assert blocked in lines[0]
 
 
 class TestDispatch:

@@ -67,6 +67,19 @@ class TestNetworkShape:
         with pytest.raises(ValidationError, match="output_activation"):
             NetworkShape(4, (2,), 4, "tanh")
 
+    @pytest.mark.parametrize("value", [True, 5.0, "5"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["input", "hidden", "output"])
+    def test_rejects_non_integer_width(self, position, value):
+        widths = [16, 8, 5, 8, 16]
+        widths[position] = value
+        with pytest.raises(ValidationError, match="must be an integer"):
+            NetworkShape(widths[0], tuple(widths[1:4]), widths[4])
+
+    def test_bottleneck_rejects_boolean_width(self):
+        # True would otherwise pass as a width of 1: (15, 1, 15).
+        with pytest.raises(ValidationError, match="must be an integer, got True"):
+            NetworkShape.bottleneck(16, 15, True)
+
 
 class TestInitParams:
     def test_he_std_at_fan_in_8(self):
@@ -309,6 +322,22 @@ class TestTrainConfig:
     def test_config_rejects_out_of_range_hyperparameters(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, 1.7, "2"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.01", None], ids=["bool", "str", "none"])
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_lambda"])
+    def test_number_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a number"):
+            TrainConfig(**{field: value})
+
+    def test_accepts_numpy_integers_and_integer_rates(self):
+        config = TrainConfig(epochs=np.int64(3), batch_size=np.int32(8), learning_rate=1)
+        assert (config.epochs, config.batch_size, config.learning_rate) == (3, 8, 1)
 
 
 def _train_one(shape, inputs, labels, config, seed):

@@ -83,6 +83,12 @@ class TestSceneSpec:
         with pytest.raises(ValidationError, match="noise_sigma"):
             _spec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("value", [True, "0.1", None], ids=["bool", "str", "none"])
+    @pytest.mark.parametrize("field", ["condition_strength", "noise_sigma"])
+    def test_float_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a number"):
+            _spec(**{field: value})
+
     def test_dict_round_trip(self):
         spec = _spec(anomalies=(AnomalyRect(1, 2, 3, 4, "remove_t2"),))
         assert SceneSpec.from_dict(spec.to_dict()) == spec
