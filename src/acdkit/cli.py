@@ -23,7 +23,6 @@ from .core import (
     _check_cubes,
     _is_int,
     _read_json_object,
-    _require_number,
     _write_text,
     cube_to_map,
     flatten,
@@ -34,6 +33,7 @@ from .core import (
 )
 from .errors import AcdkitError, DataIOError, NumericalError, ValidationError
 from .evaluate import export_curve, export_map, export_map_pgm, roc
+from .linalg import _require_ridge
 from .neural import NetworkShape, TrainConfig
 from .synth import SceneSpec, describe, generate
 
@@ -224,7 +224,7 @@ def cmd_detect(args) -> int:
         conf = _load_config(_LINEAR_DEFAULTS, data, args.set)
         ridge = conf["ridge"]
         if ridge is not None:
-            ridge = _require_number(ridge, "config key 'ridge'")
+            ridge = _require_ridge(ridge, "config key 'ridge'")
         out = _ensure_out_dir(args.out)
         if args.method == "diffrx":
             plane = (x_cube.height, x_cube.width)

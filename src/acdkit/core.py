@@ -144,10 +144,16 @@ def _require_int(value, name: str) -> int:
 
 
 def _require_number(value, name: str) -> float:
-    """Return an integer or float `value` as a float; bools and the rest are rejected."""
+    """Return a finite integer or float `value` as a float; NaN, ±inf, bools and the rest are rejected."""
     if not (_is_int(value) or isinstance(value, (float, np.floating))):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = np.inf
+    if not np.isfinite(number):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _read_json_object(path, what: str) -> dict:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require_number
 from .errors import NumericalError, ValidationError
 
 _SYMMETRY_RTOL = 1e-9
@@ -46,8 +47,16 @@ def default_ridge(a: np.ndarray) -> float:
     return 1e-6 * float(np.trace(arr)) / arr.shape[0]
 
 
+def _require_ridge(value, name: str = "ridge") -> float:
+    """Return `value` as a float, or raise ValidationError unless it is a finite number >= 0."""
+    ridge = _require_number(value, name)
+    if ridge < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
+    return ridge
+
+
 def _resolve_ridge(a: np.ndarray, ridge: float | None) -> float:
-    return default_ridge(a) if ridge is None else float(ridge)
+    return default_ridge(a) if ridge is None else _require_ridge(ridge)
 
 
 def mean_cov(m: np.ndarray) -> Stats:

@@ -11,10 +11,17 @@ The forward, gradient and Adam kernels are rank-polymorphic: the same code
 runs one net on (out, in) weights and (B, in) batches, or N nets of one
 shape stacked into (N, out, in) weights and (N, B, in) batches, which is how
 `train_lockstep` trains many small nets with one batched matmul per layer.
+Parameters, gradients and both Adam moments each live in one contiguous
+float64 buffer with one layout (`_Flat`): every weight block, layer by layer,
+then every bias block. Gradients are written into their buffer in place, and
+Adam is one in-place pass over the flat buffers: 14 ufunc calls however many
+layers and nets it updates. The per-net `backward` and `adam_step` copy one
+net into the same layout and run the same kernels, so there is one Adam.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,10 +149,8 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValidationError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
+        if self.learning_rate <= 0:
+            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.l2_lambda < 0:
             raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
 
@@ -181,13 +186,43 @@ class SampleSet:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment accumulators, flat in the `_Flat` layout, and the step counter."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
+
+
+class _Flat:
+    """The weights and biases of one net, or of N stacked nets, in one float64 buffer.
+
+    The layout is every weight block, layer by layer, each (*lead, out, in),
+    then every bias block (*lead, out), where `lead` is () for one net and
+    (N,) for N. `weights` and `biases` are views into `data`, whose first
+    `n_weights` entries are the weights.
+    """
+
+    def __init__(self, dims: tuple[int, ...], lead: tuple[int, ...] = ()):
+        pairs = list(zip(dims[:-1], dims[1:]))
+        blocks = [(*lead, o, i) for i, o in pairs] + [(*lead, o) for _, o in pairs]
+        sizes = [math.prod(block) for block in blocks]
+        self.dims = dims
+        self.data = np.empty(sum(sizes))
+        self.n_weights = sum(sizes[: len(pairs)])
+        views, start = [], 0
+        for block, size in zip(blocks, sizes):
+            views.append(self.data[start : start + size].reshape(block))
+            start += size
+        self.weights = views[: len(pairs)]
+        self.biases = views[len(pairs) :]
+
+    @classmethod
+    def of(cls, params: MlpParams) -> "_Flat":
+        """A copy of one net's parameters (or gradients) in the flat layout."""
+        flat = cls((params.input_dim, *(w.shape[0] for w in params.weights)))
+        for dst, src in zip(flat.weights + flat.biases, params.weights + params.biases):
+            dst[...] = src
+        return flat
 
 
 def _he_init(shape: NetworkShape, rng: np.random.Generator) -> tuple[list, list]:
@@ -211,9 +246,10 @@ def _forward(weights, biases, relu_output: bool, x: np.ndarray):
     current = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        current = current @ np.swapaxes(w, -1, -2) + b[..., np.newaxis, :]
+        current = current @ np.swapaxes(w, -1, -2)
+        current += b[..., np.newaxis, :]
         if i < last or relu_output:
-            current = np.maximum(current, 0.0)
+            np.maximum(current, 0.0, out=current)
         activations.append(current)
     return current, activations
 
@@ -247,30 +283,36 @@ def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
     return data_term + reg_term
 
 
-def _loss_and_grads(weights, biases, relu_output: bool, inputs, labels, l2_lambda: float):
-    """`loss` and `backward` in one pass on raw arrays, one net or N stacked nets.
+def _loss_and_grads(
+    params: _Flat, grads: _Flat, relu_output: bool, inputs, labels, l2_lambda: float
+):
+    """`loss` and `backward` in one pass, one net or N stacked nets.
 
-    Returns the loss (a 0-d array for one net, shape (N,) for N nets) and the
-    weight and bias gradient lists. Each net's squared residual is summed
-    over its whole (B, out) block, in the same order as `loss` sums it.
+    Writes every gradient into `grads` (laid out like `params`) and returns
+    the loss (a 0-d array for one net, shape (N,) for N nets). Each net's
+    squared residual is summed over its whole (B, out) block, in the same
+    order as `loss` sums it.
     """
-    out, acts = _forward(weights, biases, relu_output, inputs)
+    weights = params.weights
+    out, acts = _forward(weights, params.biases, relu_output, inputs)
     size = inputs.shape[-2]
     residual = out - labels
     value = np.sum(residual * residual, axis=(-2, -1)) / size
     value = value + l2_lambda * sum(np.sum(w * w, axis=(-2, -1)) for w in weights)
 
-    delta = (2.0 / size) * residual
+    delta = np.multiply(residual, 2.0 / size, out=residual)
     if relu_output:
-        delta = delta * (acts[-1] > 0.0)
-    grad_w = [None] * len(weights)
-    grad_b = [None] * len(weights)
+        delta *= acts[-1] > 0.0
     for i in range(len(weights) - 1, -1, -1):
-        grad_w[i] = np.swapaxes(delta, -1, -2) @ acts[i] + 2.0 * l2_lambda * weights[i]
-        grad_b[i] = delta.sum(axis=-2)
+        np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=grads.weights[i])
+        np.sum(delta, axis=-2, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ weights[i]) * (acts[i] > 0.0)
-    return value, grad_w, grad_b
+            delta = delta @ weights[i]
+            delta *= acts[i] > 0.0
+    # The L2 term 2 * lambda * W, added once over the whole weight slice.
+    grad_w = grads.data[: grads.n_weights]
+    grad_w += (2.0 * l2_lambda) * params.data[: params.n_weights]
+    return value
 
 
 def backward(params: MlpParams, batch: SampleSet, l2_lambda: float) -> MlpParams:
@@ -281,50 +323,53 @@ def backward(params: MlpParams, batch: SampleSet, l2_lambda: float) -> MlpParams
     """
     if batch.size == 0:
         raise ValidationError("gradient of an empty batch is undefined")
-    _, grad_w, grad_b = _loss_and_grads(
-        params.weights,
-        params.biases,
+    flat = _Flat.of(params)
+    grads = _Flat(flat.dims)
+    _loss_and_grads(
+        flat,
+        grads,
         params.output_activation == "relu",
         batch.inputs,
         batch.labels,
         l2_lambda,
     )
-    return MlpParams(grad_w, grad_b, params.output_activation)
-
-
-def _zero_state(weights, biases) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in weights],
-        v_weights=[np.zeros_like(w) for w in weights],
-        m_biases=[np.zeros_like(b) for b in biases],
-        v_biases=[np.zeros_like(b) for b in biases],
-    )
+    return MlpParams(grads.weights, grads.biases, params.output_activation)
 
 
 def init_adam_state(params: MlpParams) -> AdamState:
-    return _zero_state(params.weights, params.biases)
+    size = sum(w.size + b.size for w, b in zip(params.weights, params.biases))
+    return AdamState(np.zeros(size), np.zeros(size))
 
 
-def _adam_update(weights, biases, grad_w, grad_b, state: AdamState, config: TrainConfig):
-    """One bias-corrected Adam update on raw arrays, one net or N stacked nets."""
-    b1, b2, eps, lr = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, config.learning_rate
-    t = state.step + 1
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
+def _adam_update(params, grads, state: AdamState, learning_rate: float, work) -> None:
+    """One bias-corrected Adam update, in place on flat buffers of one layout.
 
-    def update(params, grads, moments1, moments2):
-        new_p, new_m, new_v = [], [], []
-        for p, g, m, v in zip(params, grads, moments1, moments2):
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            new_p.append(p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps))
-            new_m.append(m)
-            new_v.append(v)
-        return new_p, new_m, new_v
-
-    new_w, new_mw, new_vw = update(weights, grad_w, state.m_weights, state.v_weights)
-    new_b, new_mb, new_vb = update(biases, grad_b, state.m_biases, state.v_biases)
-    return new_w, new_b, AdamState(new_mw, new_vw, new_mb, new_vb, t)
+    Updates `params`, `state.m`, `state.v` and `state.step`; `work` is (2, size)
+    scratch. Each elementwise operation runs in the order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p = p - lr*(m/c1)/(sqrt(v/c2)+eps), so the result is bit-identical to
+    evaluating those expressions on each weight and bias array separately.
+    """
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
+    state.step += 1
+    corr1 = 1.0 - b1**state.step
+    corr2 = 1.0 - b2**state.step
+    m, v = state.m, state.v
+    step, denom = work
+    np.multiply(m, b1, out=m)
+    np.multiply(grads, 1.0 - b1, out=step)
+    np.add(m, step, out=m)
+    np.multiply(grads, grads, out=step)
+    np.multiply(step, 1.0 - b2, out=step)
+    np.multiply(v, b2, out=v)
+    np.add(v, step, out=v)
+    np.divide(m, corr1, out=step)
+    np.multiply(step, learning_rate, out=step)
+    np.divide(v, corr2, out=denom)
+    np.sqrt(denom, out=denom)
+    np.add(denom, _ADAM_EPS, out=denom)
+    np.divide(step, denom, out=step)
+    np.subtract(params, step, out=params)
 
 
 def adam_step(
@@ -333,10 +378,13 @@ def adam_step(
     """One bias-corrected Adam update; returns fresh params and state."""
     if [w.shape for w in grads.weights] != [w.shape for w in params.weights]:
         raise ValidationError("gradient shapes do not match parameter shapes")
-    new_w, new_b, new_state = _adam_update(
-        params.weights, params.biases, grads.weights, grads.biases, state, config
-    )
-    return MlpParams(new_w, new_b, params.output_activation), new_state
+    flat = _Flat.of(params)
+    if state.m.shape != flat.data.shape or state.v.shape != flat.data.shape:
+        raise ValidationError("Adam state shapes do not match parameter shapes")
+    new_state = AdamState(state.m.copy(), state.v.copy(), state.step)
+    work = np.empty((2, flat.data.size))
+    _adam_update(flat.data, _Flat.of(grads).data, new_state, config.learning_rate, work)
+    return MlpParams(flat.weights, flat.biases, params.output_activation), new_state
 
 
 def train_lockstep(
@@ -359,6 +407,12 @@ def train_lockstep(
     final short batch of each epoch is trained on like any other. Each
     net's weights and losses are bit-identical to training it alone, one
     batch at a time, through `loss`, `backward` and `adam_step`.
+
+    The parameters, gradients and Adam moments of all nets are four flat
+    buffers in the `_Flat` layout, allocated once: every step writes its
+    gradients into theirs and then takes one in-place Adam pass over all of
+    them. The sample pools are only read, and each returned net owns a copy
+    of its weights.
 
     Returns one (params, per-epoch losses) pair per net, in seed order; an
     epoch's loss is the mean of its mini-batch losses, each taken before
@@ -388,29 +442,38 @@ def train_lockstep(
         )
     if any(not (0 <= a < inputs.shape[0] and 0 <= b < labels.shape[0]) for a, b in roles):
         raise ValidationError(f"roles {roles} index outside the sample pools")
-    src = np.array([a for a, _ in roles])[:, np.newaxis]
-    dst = np.array([b for _, b in roles])[:, np.newaxis]
+    # Batches are gathered with np.take from the pools flattened to rows:
+    # net k's sample j is row roles[k][0] * S + j of the inputs.
+    input_rows = inputs.reshape(-1, inputs.shape[2])
+    label_rows = labels.reshape(-1, labels.shape[2])
+    src = np.array([a for a, _ in roles])[:, np.newaxis] * size
+    dst = np.array([b for _, b in roles])[:, np.newaxis] * size
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    inits = [_he_init(shape, rng) for rng in rngs]
-    weights = [np.stack(layer) for layer in zip(*(w for w, _ in inits))]
-    biases = [np.stack(layer) for layer in zip(*(b for _, b in inits))]
-    state = _zero_state(weights, biases)
+    params = _Flat(shape.layer_dims, (count,))
+    for k, rng in enumerate(rngs):
+        init_w, init_b = _he_init(shape, rng)
+        for block, init in zip(params.weights + params.biases, init_w + init_b):
+            block[k] = init
+    grads = _Flat(shape.layer_dims, (count,))
+    state = AdamState(np.zeros_like(params.data), np.zeros_like(params.data))
+    work = np.empty((2, params.data.size))
     relu_output = shape.output_activation == "relu"
     history = np.empty((config.epochs, count))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             order = np.stack([rng.permutation(size) for rng in rngs])
+            input_idx, label_idx = src + order, dst + order
             batch_losses = []
             for start in range(0, size, config.batch_size):
-                idx = order[:, start : start + config.batch_size]
-                value, grad_w, grad_b = _loss_and_grads(
-                    weights, biases, relu_output,
-                    inputs[src, idx], labels[dst, idx], config.l2_lambda,
+                batch = slice(start, start + config.batch_size)
+                value = _loss_and_grads(
+                    params, grads, relu_output,
+                    np.take(input_rows, input_idx[:, batch], axis=0),
+                    np.take(label_rows, label_idx[:, batch], axis=0),
+                    config.l2_lambda,
                 )
-                weights, biases, state = _adam_update(
-                    weights, biases, grad_w, grad_b, state, config
-                )
+                _adam_update(params.data, grads.data, state, config.learning_rate, work)
                 batch_losses.append(value)
             # (N, batches), reduced along rows: the same sum order as one net's np.mean
             history[epoch] = np.mean(np.stack(batch_losses, axis=1), axis=1)
@@ -420,9 +483,14 @@ def train_lockstep(
                     f"{names[diverged[0]]}: training loss is non-finite at epoch {epoch} "
                     f"(learning_rate={config.learning_rate})"
                 )
+    # Each net gets its own copy: nothing returned aliases the training buffers.
     return [
         (
-            MlpParams([w[k] for w in weights], [b[k] for b in biases], shape.output_activation),
+            MlpParams(
+                [w[k].copy() for w in params.weights],
+                [b[k].copy() for b in params.biases],
+                shape.output_activation,
+            ),
             [float(v) for v in history[:, k]],
         )
         for k in range(count)

@@ -237,11 +237,11 @@ class TestConfig:
             )
 
 
-def _scene(anomalies=(), seed=5, condition="affine", sigma=0.01):
+def _scene(anomalies=(), seed=5, condition="affine", sigma=0.01, side=16, bands=8):
     return SceneSpec(
-        height=16,
-        width=16,
-        bands=8,
+        height=side,
+        width=side,
+        bands=bands,
         n_endmembers=3,
         condition=condition,
         condition_strength=0.0 if condition == "identical" else 0.3,
@@ -309,17 +309,28 @@ class TestRunAcda:
         second, _ = run_acda(x, y, cfg)
         assert first.values.tobytes() == second.values.tobytes()
 
-    @pytest.mark.parametrize("activation", ["linear", "relu"])
-    def test_lockstep_equals_independent_predictors(self, activation):
-        # 150 samples at batch 32: every epoch ends on a short batch of 22.
-        x, y, _ = generate(_scene(seed=13))
+    @pytest.mark.parametrize(
+        "shape, side, count, batch_size",
+        [
+            # 150 samples at batch 32: every epoch ends on a short batch of 22.
+            (NetworkShape.bottleneck(8, 5, 3, "linear"), 16, 150, 32),
+            (NetworkShape.bottleneck(8, 5, 3, "relu"), 16, 150, 32),
+            # The benchmark-sized 40 -> 19 -> 13 -> 19 -> 40 at batch 256: 400 = 256 + 144.
+            (default_shape(40), 24, 400, 256),
+        ],
+        ids=["linear", "relu", "default40"],
+    )
+    def test_lockstep_equals_independent_predictors(self, shape, side, count, batch_size):
+        x, y, _ = generate(_scene(seed=13, side=side, bands=shape.input_dim))
         cfg = AcdaConfig(
-            shape=NetworkShape.bottleneck(8, 5, 3, activation),
-            train=TrainConfig(epochs=4, batch_size=32, learning_rate=2e-3, l2_lambda=1e-4),
+            shape=shape,
+            train=TrainConfig(
+                epochs=4, batch_size=batch_size, learning_rate=2e-3, l2_lambda=1e-4
+            ),
             repeats=3,
             base_seed=4,
         )
-        samples = _explicit_samples(x, y, 150)
+        samples = _explicit_samples(x, y, count)
         _, runs = run_acda(x, y, cfg, samples=samples)
         reversed_samples = SampleSet(samples.labels, samples.inputs)
         for r, run in enumerate(runs):

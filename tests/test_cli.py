@@ -132,17 +132,25 @@ class TestSynth:
             {"seed": -1},
             {"noise_sigma": True},
             {"condition_strength": True},
+            {"noise_sigma": float("nan")},
+            {"noise_sigma": float("inf")},
+            {"condition_strength": float("-inf")},
         ],
         ids=["height-float", "height-bool", "rect-x-float", "seed-negative", "noise-bool",
-             "strength-bool"],
+             "strength-bool", "noise-nan", "noise-inf", "strength-minus-inf"],
     )
     def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, override):
         spec = {"height": 8, "width": 8, "bands": 4, "n_endmembers": 2, "seed": 1}
         bad = tmp_path / "bad.json"
+        # json.dumps writes the NaN / Infinity literals that json.loads reads back
         bad.write_text(json.dumps({**spec, **override}), encoding="utf-8")
         assert main(["synth", str(bad), "--out", str(tmp_path / "o")]) == 1
         lines = _error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        field = next(iter(override))
+        if field != "anomalies":  # a rect's error names the rect's own field
+            assert field in lines[0]
+        assert not (tmp_path / "o").exists()
 
     def test_undecodable_spec_is_one_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -167,6 +175,16 @@ class TestDetectLinear:
                      "--set", "ridge=true", "--out", str(tmp_path / "o")])
         assert code == 1
         assert _error_lines(capsys) == ["error: config key 'ridge' must be a number, got True"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("setting", ["ridge=-1", "ridge=inf", "ridge=nan"])
+    @pytest.mark.parametrize("method", ["cc", "ce", "diffrx"])
+    def test_out_of_range_ridge_is_one_error_line(self, ws, tmp_path, capsys, method, setting):
+        code = main(["detect", method, str(ws["small"]["x"]), str(ws["small"]["y"]),
+                     "--set", setting, "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: config key 'ridge' must be")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("method", ["cc", "ce"])
@@ -287,7 +305,12 @@ class TestDetectAcda:
 
     @pytest.mark.parametrize(
         "setting",
-        ["epochs=soon", "epochs=1.7", "repeats=true", "learning_rate=true", "base_seed=-1"],
+        [
+            "epochs=soon", "epochs=1.7", "repeats=true", "learning_rate=true", "base_seed=-1",
+            "l2_lambda=inf", "l2_lambda=nan", "learning_rate=inf", "learning_rate=-inf",
+            "l2_lambda=1" + "0" * 400,
+        ],
+        ids=lambda setting: setting if len(setting) < 40 else "l2_lambda=huge-int",
     )
     def test_mistyped_setting_is_one_error_line(self, ws, tmp_path, capsys, setting):
         code = main(["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),

@@ -213,3 +213,15 @@ class TestDefaultRidge:
         a = np.diag([1.0, 0.0])
         x = solve_spd(a, np.array([1.0, 0.0]))
         assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize(
+        "ridge", [-1e-3, np.inf, np.nan, True], ids=["negative", "inf", "nan", "bool"]
+    )
+    @pytest.mark.parametrize(
+        "solve", [lambda r: inv_sqrt(np.eye(2), r), lambda r: solve_spd(np.eye(2), np.ones(2), r)],
+        ids=["inv_sqrt", "solve_spd"],
+    )
+    def test_out_of_range_ridge_rejected(self, solve, ridge):
+        # Checked before any arithmetic: a negative ridge would regularise by -|ridge| I.
+        with pytest.raises(ValidationError, match="ridge must be"):
+            solve(ridge)

@@ -317,6 +317,10 @@ class TestTrainConfig:
         [
             ("learning_rate", np.inf),
             ("learning_rate", np.nan),
+            ("learning_rate", 0.0),
+            ("l2_lambda", np.inf),
+            ("l2_lambda", np.nan),
+            ("l2_lambda", -1e-3),
         ],
     )
     def test_config_rejects_out_of_range_hyperparameters(self, field, value):
@@ -375,6 +379,25 @@ class TestTrain:
         for (a, b), seed, got in zip(roles, seeds, trained):
             alone = reference_train(shape, SampleSet(inputs[a], labels[b]), config, seed)
             assert_same_net(got, alone)
+
+    def test_lockstep_leaves_pools_unchanged_and_returns_unshared_nets(self):
+        # Training updates its buffers in place; none of that may reach the
+        # caller's sample pools or tie one returned net to another.
+        rng = np.random.default_rng(77)
+        inputs = rng.normal(size=(2, 21, 3))
+        labels = rng.normal(size=(2, 21, 3))
+        before = inputs.tobytes(), labels.tobytes()
+        config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2)
+        trained = train_lockstep(
+            NetworkShape(3, (4, 2), 3), inputs, labels, [(0, 1), (1, 0), (0, 0)], [1, 2, 3],
+            config, ["a", "b", "c"],
+        )
+        assert (inputs.tobytes(), labels.tobytes()) == before
+        arrays = [a for params, _ in trained for a in params.weights + params.biases]
+        for i, a in enumerate(arrays):
+            assert not np.shares_memory(a, inputs) and not np.shares_memory(a, labels)
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
     def test_lockstep_rejects_roles_outside_pools(self):
         pool = np.ones((2, 8, 3))
