@@ -29,7 +29,7 @@ from .predetect import default_sample_count, select_samples, usfa_fit, usfa_inte
 _PREDICT_CHUNK = 65536
 
 
-def default_shape(bands: int, output_activation: str = "linear") -> NetworkShape:
+def default_shape(bands: int) -> NetworkShape:
     """Mirrored bottleneck scaled from the 127-band reference widths 60/40.
 
     h1 = round(bands * 60/127), h2 = round(bands * 40/127), clamped so the
@@ -39,7 +39,7 @@ def default_shape(bands: int, output_activation: str = "linear") -> NetworkShape
         raise ValidationError(f"need at least 3 bands for a bottleneck, got {bands}")
     h1 = max(2, min(round(bands * 60 / 127), bands - 1))
     h2 = max(1, min(round(bands * 40 / 127), h1 - 1))
-    return NetworkShape.bottleneck(bands, h1, h2, output_activation)
+    return NetworkShape.bottleneck(bands, h1, h2)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .acda import AcdaConfig, default_shape, prepare_samples, run_acda
+from .acda import AcdaConfig, prepare_samples, run_acda
 from .baselines import diff_rx, run_baseline
 from .core import (
     _check_cubes,
@@ -43,7 +43,6 @@ _RUN_DEFAULTS = AcdaConfig()
 _ACDA_DEFAULTS = {
     "h1": None,
     "h2": None,
-    "output_activation": "linear",
     **{key: getattr(_RUN_DEFAULTS.train, key) for key in _TRAIN_KEYS},
     **{key: getattr(_RUN_DEFAULTS, key) for key in _RUN_KEYS},
 }
@@ -139,12 +138,13 @@ def _acda_config(conf: dict, shape: NetworkShape | None) -> AcdaConfig:
     return AcdaConfig(shape=shape, train=train, **{key: conf[key] for key in _RUN_KEYS})
 
 
-def _acda_shape(conf: dict, bands: int) -> NetworkShape:
+def _acda_shape(conf: dict, bands: int) -> NetworkShape | None:
+    """The bottleneck set by `h1`/`h2`, or None for the run config's default shape."""
     if (conf["h1"] is None) != (conf["h2"] is None):
         raise ValidationError("h1 and h2 must be set together")
     if conf["h1"] is None:
-        return default_shape(bands, conf["output_activation"])
-    return NetworkShape.bottleneck(bands, conf["h1"], conf["h2"], conf["output_activation"])
+        return None
+    return NetworkShape.bottleneck(bands, conf["h1"], conf["h2"])
 
 
 def _read_pair(x_path, y_path):
@@ -195,6 +195,7 @@ def cmd_detect(args) -> int:
     if args.method == "acda":
         conf = _load_config(_ACDA_DEFAULTS, data, args.set)
         cfg = _acda_config(conf, _acda_shape(conf, x_cube.bands))
+        shape = cfg.resolved_shape(x_cube.bands)
         out = _ensure_out_dir(args.out)
         samples = prepare_samples(x_cube, y_cube, cfg)
         mean_map, runs = run_acda(x_cube, y_cube, cfg, samples=samples)
@@ -218,7 +219,7 @@ def cmd_detect(args) -> int:
                     outputs += _cube_files(name)
         seeds = [cfg.base_seed + r for r in range(cfg.repeats)]
         snapshot = dict(conf)
-        snapshot["h1"], snapshot["h2"] = cfg.shape.hidden[0], cfg.shape.hidden[1]
+        snapshot["h1"], snapshot["h2"] = shape.hidden[:2]
         snapshot["resolved_sample_count"] = samples.size
     else:
         conf = _load_config(_LINEAR_DEFAULTS, data, args.set)
@@ -282,9 +283,7 @@ def cmd_sweep(args) -> int:
     shared = _acda_config(conf, None)
     bands = x_cube.bands
     configs = {
-        (h1, h2): replace(
-            shared, shape=NetworkShape.bottleneck(bands, h1, h2, conf["output_activation"])
-        )
+        (h1, h2): replace(shared, shape=NetworkShape.bottleneck(bands, h1, h2))
         for h2 in h2_values
         for h1 in h1_values
         if 0 < h2 < h1 < bands

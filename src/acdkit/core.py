@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIOError, ValidationError
+from .errors import DataIOError, NumericalError, ValidationError
 
 _HEADER_DTYPE = "f32"
 _HEADER_INTERLEAVE = "bsq"
@@ -74,14 +74,6 @@ class GroundTruthMask:
         object.__setattr__(self, "labels", arr)
 
     @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
     def anomaly_count(self) -> int:
         return int(self.labels.sum())
 
@@ -101,14 +93,6 @@ class IntensityMap:
         if arr.size and arr.min() < 0.0:
             raise ValidationError(f"intensity map has negative values (min {arr.min()})")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def flatten(cube: HyperCube) -> np.ndarray:
@@ -204,24 +188,26 @@ def read_cube(path) -> HyperCube:
     """Load a cube from its JSON header; the raw payload sits next to it."""
     header_path = Path(path)
     try:
-        text = header_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot read cube header {header_path}: {exc}") from exc
-    try:
-        header = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataIOError(f"malformed cube header {header_path}: {exc}") from exc
-
-    for key in ("height", "width", "bands", "dtype", "interleave", "raw"):
-        if key not in header:
-            raise DataIOError(f"cube header {header_path} is missing field '{key}'")
+        header = _read_json_object(header_path, "cube header")
+        for key in ("height", "width", "bands", "dtype", "interleave", "raw"):
+            if key not in header:
+                raise ValidationError(f"cube header {header_path} is missing field '{key}'")
+        h, w, q = (
+            _require_int(header[key], f"cube header {header_path} field '{key}'")
+            for key in ("height", "width", "bands")
+        )
+        if not isinstance(header["raw"], str):
+            raise ValidationError(
+                f"cube header {header_path} field 'raw' must be a file name, got {header['raw']!r}"
+            )
+    except ValidationError as exc:
+        raise DataIOError(f"malformed {exc}") from exc
     if header["dtype"] != _HEADER_DTYPE:
         raise DataIOError(f"unsupported dtype '{header['dtype']}' (only '{_HEADER_DTYPE}')")
     if header["interleave"] != _HEADER_INTERLEAVE:
         raise DataIOError(
             f"unsupported interleave '{header['interleave']}' (only '{_HEADER_INTERLEAVE}')"
         )
-    h, w, q = int(header["height"]), int(header["width"]), int(header["bands"])
     if min(h, w, q) < 1:
         raise DataIOError(f"cube header {header_path} declares non-positive dimensions")
 
@@ -262,7 +248,17 @@ def write_cube(cube: HyperCube, path) -> None:
 
 
 def map_to_cube(imap: IntensityMap) -> HyperCube:
-    """View an intensity map as a 1-band cube for container export."""
+    """View an intensity map as a 1-band cube for container export.
+
+    A peak above the float32 maximum would overflow the container, so it
+    raises NumericalError instead.
+    """
+    limit = float(np.finfo(np.float32).max)
+    peak = float(imap.values.max(initial=0.0))
+    if peak > limit:
+        raise NumericalError(
+            f"intensity map peak {peak:.6g} exceeds the float32 limit {limit:.6g} of the map file"
+        )
     return HyperCube(imap.values[:, :, np.newaxis].astype(np.float32))
 
 

@@ -1,8 +1,8 @@
 """From-scratch fully connected network engine for the spectral predictors.
 
 Plain numpy, float64 throughout: He-normal init, ReLU hidden layers, a
-selectable linear or ReLU output layer, squared-error loss with L2 weight
-decay, exact reverse-mode gradients, Adam, and seeded mini-batch training.
+linear output layer, squared-error loss with L2 weight decay, exact
+reverse-mode gradients, Adam, and seeded mini-batch training.
 Adam uses the constants recommended by Kingma & Ba (ICLR 2015): beta1 = 0.9,
 beta2 = 0.999, eps = 1e-8; only the learning rate is configurable.
 Everything is deterministic under a fixed seed.
@@ -11,25 +11,23 @@ The forward, gradient and Adam kernels are rank-polymorphic: the same code
 runs one net on (out, in) weights and (B, in) batches, or N nets of one
 shape stacked into (N, out, in) weights and (N, B, in) batches, which is how
 `train_lockstep` trains many small nets with one batched matmul per layer.
-Parameters, gradients and both Adam moments each live in one contiguous
-float64 buffer with one layout (`_Flat`): every weight block, layer by layer,
-then every bias block. Gradients are written into their buffer in place, and
-Adam is one in-place pass over the flat buffers: 14 ufunc calls however many
-layers and nets it updates. The per-net `backward` and `adam_step` copy one
-net into the same layout and run the same kernels, so there is one Adam.
+`MlpParams` keeps the weights and biases of one net, or of N stacked nets,
+in one contiguous float64 buffer: every weight block, layer by layer, then
+every bias block. Gradients and both Adam moments share that layout.
+Gradients are written into their buffer in place, and Adam is one in-place
+pass over the flat buffers: 14 ufunc calls however many layers and nets it
+updates. The per-net `backward` and `adam_step` run the same kernels on one
+net, so there is one Adam.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _require_int, _require_number
 from .errors import NumericalError, ValidationError
-
-OUTPUT_ACTIVATIONS = ("linear", "relu")
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -43,7 +41,6 @@ class NetworkShape:
     input_dim: int
     hidden: tuple[int, ...]
     output_dim: int
-    output_activation: str = "linear"
 
     def __post_init__(self):
         hidden = tuple(_require_int(h, "hidden layer width") for h in self.hidden)
@@ -53,26 +50,19 @@ class NetworkShape:
         widths = (self.input_dim, *self.hidden, self.output_dim)
         if any(w < 1 for w in widths):
             raise ValidationError(f"all layer widths must be >= 1, got {widths}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValidationError(
-                f"output_activation must be one of {OUTPUT_ACTIVATIONS}, "
-                f"got '{self.output_activation}'"
-            )
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.output_dim)
 
     @classmethod
-    def bottleneck(
-        cls, bands: int, h1: int, h2: int, output_activation: str = "linear"
-    ) -> "NetworkShape":
+    def bottleneck(cls, bands: int, h1: int, h2: int) -> "NetworkShape":
         """Mirrored three-hidden-layer shape Q -> h1 -> h2 -> h1 -> Q.
 
         Requires h1 < bands and h2 < h1 so the middle layer is a genuine
         compression of the spectrum.
         """
-        shape = cls(bands, (h1, h2, h1), bands, output_activation)
+        shape = cls(bands, (h1, h2, h1), bands)
         shape.require_bottleneck()
         return shape
 
@@ -92,31 +82,39 @@ class NetworkShape:
             )
 
 
-@dataclass
 class MlpParams:
-    """Per-layer weight matrices (out x in) and bias vectors, float64."""
+    """The weights and biases of one net, or of N stacked nets, in one float64 buffer.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    output_activation: str = "linear"
+    Weight i is (out, in) for one net and (N, out, in) for N; bias i is (out,)
+    or (N, out). The constructor copies them into `data`: every weight block,
+    layer by layer, then every bias block. `weights` and `biases` are views
+    into `data`, whose first `n_weights` entries are the weights.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
+    def __init__(self, weights, biases):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if len(weights) != len(biases) or not weights:
             raise ValidationError("weights and biases must be non-empty parallel lists")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+        lead = weights[0].shape[:-2]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim not in (2, 3) or w.shape[:-2] != lead or b.shape != w.shape[:-1]:
                 raise ValidationError(f"layer {i} has inconsistent shapes {w.shape}, {b.shape}")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[-1] != weights[i - 1].shape[-2]:
                 raise ValidationError(
-                    f"layer {i} input dim {w.shape[1]} != previous output "
-                    f"{self.weights[i - 1].shape[0]}"
+                    f"layer {i} input dim {w.shape[-1]} != previous output "
+                    f"{weights[i - 1].shape[-2]}"
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValidationError(f"layer {i} contains non-finite entries")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValidationError(f"unknown output_activation '{self.output_activation}'")
+        self.data = np.concatenate([a.ravel() for a in weights + biases])
+        self.n_weights = sum(w.size for w in weights)
+        views, start = [], 0
+        for a in weights + biases:
+            views.append(self.data[start : start + a.size].reshape(a.shape))
+            start += a.size
+        self.weights = views[: len(weights)]
+        self.biases = views[len(weights) :]
 
     @property
     def n_layers(self) -> int:
@@ -124,11 +122,11 @@ class MlpParams:
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
 
 @dataclass(frozen=True)
@@ -186,43 +184,11 @@ class SampleSet:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, flat in the `_Flat` layout, and the step counter."""
+    """Adam's first/second moments, flat in the `MlpParams.data` layout, and the step count."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-
-
-class _Flat:
-    """The weights and biases of one net, or of N stacked nets, in one float64 buffer.
-
-    The layout is every weight block, layer by layer, each (*lead, out, in),
-    then every bias block (*lead, out), where `lead` is () for one net and
-    (N,) for N. `weights` and `biases` are views into `data`, whose first
-    `n_weights` entries are the weights.
-    """
-
-    def __init__(self, dims: tuple[int, ...], lead: tuple[int, ...] = ()):
-        pairs = list(zip(dims[:-1], dims[1:]))
-        blocks = [(*lead, o, i) for i, o in pairs] + [(*lead, o) for _, o in pairs]
-        sizes = [math.prod(block) for block in blocks]
-        self.dims = dims
-        self.data = np.empty(sum(sizes))
-        self.n_weights = sum(sizes[: len(pairs)])
-        views, start = [], 0
-        for block, size in zip(blocks, sizes):
-            views.append(self.data[start : start + size].reshape(block))
-            start += size
-        self.weights = views[: len(pairs)]
-        self.biases = views[len(pairs) :]
-
-    @classmethod
-    def of(cls, params: MlpParams) -> "_Flat":
-        """A copy of one net's parameters (or gradients) in the flat layout."""
-        flat = cls((params.input_dim, *(w.shape[0] for w in params.weights)))
-        for dst, src in zip(flat.weights + flat.biases, params.weights + params.biases):
-            dst[...] = src
-        return flat
 
 
 def _he_init(shape: NetworkShape, rng: np.random.Generator) -> tuple[list, list]:
@@ -236,11 +202,10 @@ def _he_init(shape: NetworkShape, rng: np.random.Generator) -> tuple[list, list]
 
 def init_params(shape: NetworkShape, seed: int) -> MlpParams:
     """He-normal weights (variance 2 / fan_in), zero biases, seeded."""
-    weights, biases = _he_init(shape, np.random.default_rng(seed))
-    return MlpParams(weights, biases, shape.output_activation)
+    return MlpParams(*_he_init(shape, np.random.default_rng(seed)))
 
 
-def _forward(weights, biases, relu_output: bool, x: np.ndarray):
+def _forward(weights, biases, x: np.ndarray):
     """Forward pass on raw arrays, one net or N stacked nets (see module doc)."""
     activations = [x]
     current = x
@@ -248,7 +213,7 @@ def _forward(weights, biases, relu_output: bool, x: np.ndarray):
     for i, (w, b) in enumerate(zip(weights, biases)):
         current = current @ np.swapaxes(w, -1, -2)
         current += b[..., np.newaxis, :]
-        if i < last or relu_output:
+        if i < last:
             np.maximum(current, 0.0, out=current)
         activations.append(current)
     return current, activations
@@ -265,7 +230,7 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np
         raise ValidationError(
             f"batch shape {batch.shape} does not match input_dim {params.input_dim}"
         )
-    return _forward(params.weights, params.biases, params.output_activation == "relu", batch)
+    return _forward(params.weights, params.biases, batch)
 
 
 def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
@@ -283,9 +248,7 @@ def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
     return data_term + reg_term
 
 
-def _loss_and_grads(
-    params: _Flat, grads: _Flat, relu_output: bool, inputs, labels, l2_lambda: float
-):
+def _loss_and_grads(params: MlpParams, grads: MlpParams, inputs, labels, l2_lambda: float):
     """`loss` and `backward` in one pass, one net or N stacked nets.
 
     Writes every gradient into `grads` (laid out like `params`) and returns
@@ -294,15 +257,13 @@ def _loss_and_grads(
     order as `loss` sums it.
     """
     weights = params.weights
-    out, acts = _forward(weights, params.biases, relu_output, inputs)
+    out, acts = _forward(weights, params.biases, inputs)
     size = inputs.shape[-2]
     residual = out - labels
     value = np.sum(residual * residual, axis=(-2, -1)) / size
     value = value + l2_lambda * sum(np.sum(w * w, axis=(-2, -1)) for w in weights)
 
     delta = np.multiply(residual, 2.0 / size, out=residual)
-    if relu_output:
-        delta *= acts[-1] > 0.0
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=grads.weights[i])
         np.sum(delta, axis=-2, out=grads.biases[i])
@@ -323,22 +284,13 @@ def backward(params: MlpParams, batch: SampleSet, l2_lambda: float) -> MlpParams
     """
     if batch.size == 0:
         raise ValidationError("gradient of an empty batch is undefined")
-    flat = _Flat.of(params)
-    grads = _Flat(flat.dims)
-    _loss_and_grads(
-        flat,
-        grads,
-        params.output_activation == "relu",
-        batch.inputs,
-        batch.labels,
-        l2_lambda,
-    )
-    return MlpParams(grads.weights, grads.biases, params.output_activation)
+    grads = MlpParams(params.weights, params.biases)  # every entry is overwritten
+    _loss_and_grads(params, grads, batch.inputs, batch.labels, l2_lambda)
+    return grads
 
 
 def init_adam_state(params: MlpParams) -> AdamState:
-    size = sum(w.size + b.size for w, b in zip(params.weights, params.biases))
-    return AdamState(np.zeros(size), np.zeros(size))
+    return AdamState(np.zeros_like(params.data), np.zeros_like(params.data))
 
 
 def _adam_update(params, grads, state: AdamState, learning_rate: float, work) -> None:
@@ -378,13 +330,13 @@ def adam_step(
     """One bias-corrected Adam update; returns fresh params and state."""
     if [w.shape for w in grads.weights] != [w.shape for w in params.weights]:
         raise ValidationError("gradient shapes do not match parameter shapes")
-    flat = _Flat.of(params)
-    if state.m.shape != flat.data.shape or state.v.shape != flat.data.shape:
+    if state.m.shape != params.data.shape or state.v.shape != params.data.shape:
         raise ValidationError("Adam state shapes do not match parameter shapes")
-    new_state = AdamState(state.m.copy(), state.v.copy(), state.step)
-    work = np.empty((2, flat.data.size))
-    _adam_update(flat.data, _Flat.of(grads).data, new_state, config.learning_rate, work)
-    return MlpParams(flat.weights, flat.biases, params.output_activation), new_state
+    new_params = MlpParams(params.weights, params.biases)
+    new_state = AdamState(np.array(state.m), np.array(state.v), state.step)
+    work = np.empty((2, params.data.size))
+    _adam_update(new_params.data, grads.data, new_state, config.learning_rate, work)
+    return new_params, new_state
 
 
 def train_lockstep(
@@ -408,11 +360,11 @@ def train_lockstep(
     net's weights and losses are bit-identical to training it alone, one
     batch at a time, through `loss`, `backward` and `adam_step`.
 
-    The parameters, gradients and Adam moments of all nets are four flat
-    buffers in the `_Flat` layout, allocated once: every step writes its
-    gradients into theirs and then takes one in-place Adam pass over all of
-    them. The sample pools are only read, and each returned net owns a copy
-    of its weights.
+    The parameters and gradients of all nets are two stacked `MlpParams`,
+    and the Adam moments two flat buffers of their layout, allocated once:
+    every step writes its gradients into theirs and then takes one in-place
+    Adam pass over all of them. The sample pools are only read, and each
+    returned net owns a copy of its weights.
 
     Returns one (params, per-epoch losses) pair per net, in seed order; an
     epoch's loss is the mean of its mini-batch losses, each taken before
@@ -450,15 +402,14 @@ def train_lockstep(
     dst = np.array([b for _, b in roles])[:, np.newaxis] * size
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    params = _Flat(shape.layer_dims, (count,))
-    for k, rng in enumerate(rngs):
-        init_w, init_b = _he_init(shape, rng)
-        for block, init in zip(params.weights + params.biases, init_w + init_b):
-            block[k] = init
-    grads = _Flat(shape.layer_dims, (count,))
-    state = AdamState(np.zeros_like(params.data), np.zeros_like(params.data))
+    inits = [_he_init(shape, rng) for rng in rngs]
+    params = MlpParams(
+        [np.stack(layer) for layer in zip(*(w for w, _ in inits))],
+        [np.stack(layer) for layer in zip(*(b for _, b in inits))],
+    )
+    grads = MlpParams(params.weights, params.biases)  # every entry is overwritten
+    state = init_adam_state(params)
     work = np.empty((2, params.data.size))
-    relu_output = shape.output_activation == "relu"
     history = np.empty((config.epochs, count))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
@@ -468,7 +419,7 @@ def train_lockstep(
             for start in range(0, size, config.batch_size):
                 batch = slice(start, start + config.batch_size)
                 value = _loss_and_grads(
-                    params, grads, relu_output,
+                    params, grads,
                     np.take(input_rows, input_idx[:, batch], axis=0),
                     np.take(label_rows, label_idx[:, batch], axis=0),
                     config.l2_lambda,
@@ -483,14 +434,10 @@ def train_lockstep(
                     f"{names[diverged[0]]}: training loss is non-finite at epoch {epoch} "
                     f"(learning_rate={config.learning_rate})"
                 )
-    # Each net gets its own copy: nothing returned aliases the training buffers.
+    # MlpParams copies net k out: nothing returned aliases the training buffers.
     return [
         (
-            MlpParams(
-                [w[k].copy() for w in params.weights],
-                [b[k].copy() for b in params.biases],
-                shape.output_activation,
-            ),
+            MlpParams([w[k] for w in params.weights], [b[k] for b in params.biases]),
             [float(v) for v in history[:, k]],
         )
         for k in range(count)

@@ -136,12 +136,7 @@ class SceneSpec:
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown scene spec fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "anomalies" in kwargs:
-            kwargs["anomalies"] = tuple(
-                AnomalyRect(**r) if isinstance(r, dict) else r for r in kwargs["anomalies"]
-            )
-        return cls(**kwargs)
+        return cls(**data)
 
     @classmethod
     def from_json_file(cls, path) -> "SceneSpec":

@@ -54,14 +54,10 @@ def kink_margin(params, batch):
     """
     margin = np.inf
     current = batch.inputs
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = current @ w.T + b
-        if i < last or params.output_activation == "relu":
-            margin = min(margin, float(np.min(np.abs(z))))
-            current = np.maximum(z, 0.0)
-        else:
-            current = z
+        margin = min(margin, float(np.min(np.abs(z))))
+        current = np.maximum(z, 0.0)
     return margin
 
 
@@ -80,7 +76,6 @@ def generic_gradient_case(shape: NetworkShape, seed: int, batch_rows: int = 6):
         params = MlpParams(
             base.weights,
             [rng.normal(0.0, 0.3, size=b.shape) for b in base.biases],
-            shape.output_activation,
         )
         batch = SampleSet(
             rng.normal(size=(batch_rows, shape.input_dim)),
@@ -107,7 +102,6 @@ def reference_train(shape: NetworkShape, samples: SampleSet, config, seed: int):
             for fan_in, fan_out in zip(dims[:-1], dims[1:])
         ],
         [np.zeros(fan_out) for fan_out in dims[1:]],
-        shape.output_activation,
     )
     state = init_adam_state(params)
     history = []

@@ -105,8 +105,7 @@ def test_criterion_1_gradients_match_finite_differences():
         input_dim = int(rng.integers(4, 17))
         hidden = tuple(int(rng.integers(2, 13)) for _ in range(3))
         output_dim = int(rng.integers(2, 13))
-        activation = "relu" if case % 5 == 4 else "linear"
-        shape = NetworkShape(input_dim, hidden, output_dim, activation)
+        shape = NetworkShape(input_dim, hidden, output_dim)
         params, batch = generic_gradient_case(shape, seed=case)
         analytic = backward(params, batch, 1e-3)
         fd_weights, fd_biases = finite_difference_grads(params, batch, 1e-3)

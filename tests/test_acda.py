@@ -313,12 +313,11 @@ class TestRunAcda:
         "shape, side, count, batch_size",
         [
             # 150 samples at batch 32: every epoch ends on a short batch of 22.
-            (NetworkShape.bottleneck(8, 5, 3, "linear"), 16, 150, 32),
-            (NetworkShape.bottleneck(8, 5, 3, "relu"), 16, 150, 32),
+            (NetworkShape.bottleneck(8, 5, 3), 16, 150, 32),
             # The benchmark-sized 40 -> 19 -> 13 -> 19 -> 40 at batch 256: 400 = 256 + 144.
             (default_shape(40), 24, 400, 256),
         ],
-        ids=["linear", "relu", "default40"],
+        ids=["linear", "default40"],
     )
     def test_lockstep_equals_independent_predictors(self, shape, side, count, batch_size):
         x, y, _ = generate(_scene(seed=13, side=side, bands=shape.input_dim))

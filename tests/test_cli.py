@@ -10,7 +10,7 @@ from numpy.testing import assert_array_equal
 
 from acdkit.acda import AcdaConfig, run_acda
 from acdkit.cli import main
-from acdkit.core import cube_to_map, read_cube, read_mask
+from acdkit.core import HyperCube, cube_to_map, read_cube, read_mask, write_cube
 from acdkit.errors import NumericalError
 from acdkit.evaluate import export_map, read_curve, roc
 from acdkit.core import IntensityMap
@@ -298,6 +298,14 @@ class TestDetectAcda:
                      "--set", "momentum=0.9", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_output_activation_is_an_unknown_key(self, ws, tmp_path, capsys):
+        # The predictors' output layer is always linear; there is nothing to select.
+        code = main(["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
+                     "--set", "output_activation=relu", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert _error_lines(capsys) == ["error: unknown config key 'output_activation'"]
+        assert not (tmp_path / "o").exists()
+
     def test_non_integer_epochs_rejected(self, ws, tmp_path):
         code = main(["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
                      "--set", "epochs=soon", "--out", str(tmp_path / "o")])
@@ -525,6 +533,28 @@ class TestDispatch:
         code = main(["detect", "cc", str(ws["small"]["x"]), str(ws["small"]["y"]),
                      "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "detector",
+        [["cc"], ["acda", "--set", "epochs=2", "--set", "repeats=1"]],
+        ids=["cc", "acda"],
+    )
+    def test_map_beyond_float32_is_numerical_error(self, ws, tmp_path, capsys, detector):
+        # Radiance near 1e30 is valid float32, but the squared-error map (~1e60) is not.
+        paths = []
+        for name in ("x", "y"):
+            cube = read_cube(ws["small"][name])
+            paths.append(tmp_path / f"{name}.json")
+            write_cube(HyperCube(cube.data * np.float32(1e30)), paths[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["detect", detector[0], *map(str, paths), *detector[1:],
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        lines = _error_lines(capsys)
+        assert len(lines) == 1
+        assert lines[0].startswith("error: intensity map peak")
+        assert "float32 limit" in lines[0]
 
     def test_unknown_method_rejected_by_parser(self, ws, tmp_path):
         with pytest.raises(SystemExit):

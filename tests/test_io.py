@@ -20,7 +20,7 @@ from acdkit.core import (
     write_mask,
     write_pgm,
 )
-from acdkit.errors import DataIOError, ValidationError
+from acdkit.errors import DataIOError, NumericalError, ValidationError
 
 
 def _write_pair(tmp_path, name, height, width, bands, values, **overrides):
@@ -82,6 +82,30 @@ class TestReadCube:
         path = tmp_path / "c.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(DataIOError, match="malformed"):
+            read_cube(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b'{"height": 8, "width": 1, "bands": 1, "dtype": "f32", "interleave": "bsq", '
+            b'"raw": "c\xe9.raw"}',
+            b'"c.raw"',
+            {"height": None},
+            {"raw": 5},
+            {"height": "8"},
+            {"height": 8.9},
+        ],
+        ids=["non-utf8", "json-string", "height-null", "raw-int", "height-str", "height-float"],
+    )
+    def test_malformed_header_is_io_error(self, tmp_path, header):
+        # The payload fits an 8 x 1 x 1 cube, so only the header is at fault.
+        path = _write_pair(tmp_path, "c", 8, 1, 1, np.arange(8.0))
+        if isinstance(header, bytes):
+            path.write_bytes(header)
+        else:
+            fields = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps({**fields, **header}), encoding="utf-8")
+        with pytest.raises(DataIOError, match="malformed cube header"):
             read_cube(path)
 
     def test_missing_header_field(self, tmp_path):
@@ -222,6 +246,13 @@ class TestMapConversions:
         again = cube_to_map(map_to_cube(imap))
         # One float32 cast is allowed on the way through the container.
         assert_array_equal(again.values, imap.values.astype(np.float32).astype(np.float64))
+
+    def test_map_beyond_float32_is_numerical_error(self):
+        limit = float(np.finfo(np.float32).max)
+        assert map_to_cube(IntensityMap(np.array([[0.0, limit]]))).data.max() == np.float32(limit)
+        # With RuntimeWarnings as errors, an overflowing cast would surface as one.
+        with pytest.raises(NumericalError, match=r"peak 1e\+39 exceeds the float32 limit"):
+            map_to_cube(IntensityMap(np.array([[1.0, 1e39]])))
 
     def test_cube_to_map_requires_single_band(self):
         with pytest.raises(ValidationError, match="1-band"):

@@ -34,8 +34,8 @@ from helpers import (
 )
 
 
-def _identity_params(dim, activation="linear"):
-    return MlpParams([np.eye(dim)], [np.zeros(dim)], activation)
+def _identity_params(dim):
+    return MlpParams([np.eye(dim)], [np.zeros(dim)])
 
 
 class TestNetworkShape:
@@ -62,10 +62,6 @@ class TestNetworkShape:
     def test_rejects_zero_width(self):
         with pytest.raises(ValidationError, match=">= 1"):
             NetworkShape(4, (0,), 4)
-
-    def test_rejects_unknown_activation(self):
-        with pytest.raises(ValidationError, match="output_activation"):
-            NetworkShape(4, (2,), 4, "tanh")
 
     @pytest.mark.parametrize("value", [True, 5.0, "5"], ids=["bool", "float", "str"])
     @pytest.mark.parametrize("position", [0, 2, 4], ids=["input", "hidden", "output"])
@@ -119,24 +115,19 @@ class TestForward:
         assert_array_equal(out, np.zeros((1, 3)))
         assert len(acts) == 3
 
-    def test_single_relu_layer(self):
-        params = _identity_params(2, "relu")
-        out, _ = forward_batch(params, np.array([[-1.0, 2.0]]))
-        assert_array_equal(out, [[0.0, 2.0]])
-
     def test_linear_output_preserves_sign(self):
-        params = _identity_params(2, "linear")
+        params = _identity_params(2)
         out, _ = forward_batch(params, np.array([[-1.0, 2.0]]))
         assert_array_equal(out, [[-1.0, 2.0]])
 
     def test_matches_independent_recomposition(self):
         rng = np.random.default_rng(9)
-        params = init_params(NetworkShape(5, (7, 3), 5, "relu"), seed=9)
+        params = init_params(NetworkShape(5, (7, 3), 5), seed=9)
         x = rng.normal(size=5)
         current = x
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             current = w @ current + b
-            if i < params.n_layers - 1 or params.output_activation == "relu":
+            if i < params.n_layers - 1:
                 current = np.maximum(current, 0.0)
         out, acts = forward_batch(params, x[np.newaxis, :])
         assert_allclose(out[0], current, rtol=1e-12)
@@ -202,13 +193,6 @@ class TestBackward:
         assert max_relative_error(grads.weights, fd_w) < 1e-4
         assert max_relative_error(grads.biases, fd_b) < 1e-4
 
-    def test_matches_finite_differences_with_relu_output(self):
-        params, batch = generic_gradient_case(NetworkShape(4, (6,), 4, "relu"), seed=11)
-        grads = backward(params, batch, 0.0)
-        fd_w, fd_b = finite_difference_grads(params, batch, 0.0)
-        assert max_relative_error(grads.weights, fd_w) < 1e-4
-        assert max_relative_error(grads.biases, fd_b) < 1e-4
-
     def test_zero_residual_zero_gradients(self):
         rng = np.random.default_rng(33)
         inputs = rng.normal(size=(10, 3))
@@ -217,11 +201,13 @@ class TestBackward:
             assert_allclose(g, np.zeros_like(g), atol=1e-14)
 
     def test_dead_relu_region_is_exactly_zero(self):
-        # Negative inputs through an identity ReLU layer output exactly 0;
-        # with zero labels the residual and every gradient entry are 0.
+        # Negative inputs through an identity hidden ReLU layer leave it at
+        # exactly 0, so the identity output is 0 too; with zero labels the
+        # residual and every gradient entry are 0.
         inputs = -np.abs(np.random.default_rng(37).normal(size=(6, 2))) - 0.1
         batch = SampleSet(inputs, np.zeros((6, 2)))
-        grads = backward(_identity_params(2, "relu"), batch, 0.0)
+        params = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
+        grads = backward(params, batch, 0.0)
         for g in grads.weights + grads.biases:
             assert_array_equal(g, np.zeros_like(g))
 
@@ -242,8 +228,7 @@ class TestBackward:
         for trial in range(5):
             q = int(rng.integers(2, 7))
             hidden = tuple(int(rng.integers(2, 9)) for _ in range(int(rng.integers(1, 4))))
-            activation = "relu" if trial % 2 else "linear"
-            shape = NetworkShape(q, hidden, q, activation)
+            shape = NetworkShape(q, hidden, q)
             params, batch = generic_gradient_case(shape, seed=trial, batch_rows=4)
             grads = backward(params, batch, 1e-4)
             fd_w, fd_b = finite_difference_grads(params, batch, 1e-4)
@@ -256,7 +241,6 @@ class TestAdamStep:
         return MlpParams(
             [np.full_like(w, value) for w in params.weights],
             [np.full_like(b, value) for b in params.biases],
-            params.output_activation,
         )
 
     def test_first_step_moves_by_lr_times_sign(self):
@@ -353,12 +337,11 @@ def _train_one(shape, inputs, labels, config, seed):
 
 
 class TestTrain:
-    @pytest.mark.parametrize("activation", ["linear", "relu"])
-    def test_matches_reference_loop_bit_for_bit(self, activation):
+    @pytest.mark.parametrize("shape", [NetworkShape(4, (6, 5), 3)], ids=["linear"])
+    def test_matches_reference_loop_bit_for_bit(self, shape):
         # 37 samples at batch 8: four full batches and a short one per epoch.
         rng = np.random.default_rng(71)
         inputs, labels = rng.normal(size=(37, 4)), rng.uniform(0.0, 1.0, size=(37, 3))
-        shape = NetworkShape(4, (6, 5), 3, activation)
         config = TrainConfig(epochs=6, batch_size=8, learning_rate=1e-2)
         assert_same_net(
             _train_one(shape, inputs, labels, config, seed=13),
@@ -369,7 +352,7 @@ class TestTrain:
         rng = np.random.default_rng(73)
         inputs = rng.normal(size=(2, 29, 4))
         labels = rng.uniform(0.0, 1.0, size=(3, 29, 2))
-        shape = NetworkShape(4, (5,), 2, "relu")
+        shape = NetworkShape(4, (5,), 2)
         config = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
         roles = [(0, 2), (1, 0), (1, 2), (0, 2)]
         seeds = [3, 4, 5, 6]

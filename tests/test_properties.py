@@ -1,19 +1,35 @@
 """Property tests for the scoring maths: AUC rank invariance, min-fusion dominance,
-and Diff-RX / SFA invariance under a band transform shared by both acquisitions.
+and Diff-RX / SFA invariance under a band transform shared by both acquisitions;
+bit-exact round trips of the cube, mask and curve files; and the whole ACDA
+pipeline on tiny random pairs, which either gives a map or raises an AcdkitError.
 
 Hypothesis draws the inputs; `derandomize=True` makes every run draw the same
 examples, so a failure reproduces and CI stays deterministic.
 """
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from acdkit.acda import fuse_min
+from acdkit.acda import AcdaConfig, fuse_min, run_acda
 from acdkit.baselines import diff_rx
-from acdkit.core import GroundTruthMask, IntensityMap
-from acdkit.evaluate import roc
+from acdkit.core import (
+    GroundTruthMask,
+    HyperCube,
+    IntensityMap,
+    read_cube,
+    read_mask,
+    write_cube,
+    write_mask,
+)
+from acdkit.errors import AcdkitError
+from acdkit.evaluate import export_curve, read_curve, roc
+from acdkit.neural import TrainConfig
 from acdkit.predetect import usfa_fit, usfa_intensity
 
 deterministic = settings(derandomize=True, deadline=None, max_examples=200)
@@ -123,3 +139,81 @@ def test_sfa_unchanged_under_shared_band_transform(case):
     base = usfa_intensity(model, x, y, shape).values
     moved = usfa_intensity(moved_model, moved_x, moved_y, shape).values
     _assert_close_maps(moved, base, 1e-9)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+# Every finite float32: Hypothesis draws -0.0, subnormals and the extremes among them.
+any_float32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@deterministic
+@given(data=arrays(np.float32, st.tuples(*[st.integers(1, 4)] * 3), elements=any_float32))
+@example(
+    data=np.array([-0.0, 0.0, F32_TINY, -F32_TINY, F32_MAX, -F32_MAX], np.float32).reshape(1, 2, 3)
+)
+def test_cube_round_trip_is_bit_exact(data):
+    cube = HyperCube(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_cube(cube, Path(tmp) / "c.json")
+        again = read_cube(Path(tmp) / "c.json")
+    assert again.shape == cube.shape
+    assert again.data.tobytes() == cube.data.tobytes()
+
+
+@deterministic
+@given(labels=arrays(np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                     elements=st.integers(0, 1)))
+def test_mask_round_trip(labels):
+    labels.flat[0] = 0  # a mask needs a background pixel
+    mask = GroundTruthMask(labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_mask(mask, Path(tmp) / "m.pgm")
+        again = read_mask(Path(tmp) / "m.pgm", expected_shape=labels.shape)
+    assert again.labels.tobytes() == mask.labels.tobytes()
+
+
+@deterministic
+@given(scene=scored_scenes(), scale=st.floats(1e-300, 1e300))
+def test_curve_round_trip(scene, scale):
+    scores, truth = scene
+    curve = roc(IntensityMap(scores * scale), truth)
+    with tempfile.TemporaryDirectory() as tmp:
+        export_curve(curve, Path(tmp) / "roc.csv")
+        again = read_curve(Path(tmp) / "roc.csv")
+    for name in ("thresholds", "far", "dr"):
+        assert getattr(again, name).tobytes() == getattr(curve, name).tobytes()
+    assert abs(again.auc - curve.auc) <= 5e-7  # the file keeps 6 decimals
+
+
+@st.composite
+def tiny_pairs(draw):
+    """Two co-registered float32 cubes of 1-5 px per side and 1-6 bands.
+
+    The first is random or constant; the second is independent of it, equal
+    to it, or a noise-free affine image of it.
+    """
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 10.0, size=shape) if draw(st.booleans()) else np.full(shape, 3.0)
+    relation = draw(st.sampled_from(["independent", "identical", "affine"]))
+    y = {
+        "independent": rng.uniform(0.0, 10.0, size=shape),
+        "identical": x,
+        "affine": 2.0 * x + 1.0,
+    }[relation]
+    return HyperCube(x), HyperCube(y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(pair=tiny_pairs())
+def test_run_acda_gives_a_map_or_an_acdkit_error(pair):
+    x_cube, y_cube = pair
+    cfg = AcdaConfig(train=TrainConfig(epochs=2), repeats=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            mean_map, _ = run_acda(x_cube, y_cube, cfg)
+        except AcdkitError:
+            return
+    assert mean_map.values.shape == x_cube.shape[:2]
