@@ -91,16 +91,6 @@ class AcdaRun:
     fused: IntensityMap
     training_losses: tuple[tuple[float, ...], tuple[float, ...]]
 
-    def __post_init__(self):
-        expected = np.minimum(self.loss_map_fwd.values, self.loss_map_bwd.values)
-        if not np.array_equal(self.fused.values, expected):
-            raise ValidationError("fused map is not the elementwise minimum of the directions")
-        object.__setattr__(
-            self,
-            "training_losses",
-            tuple(tuple(float(v) for v in series) for series in self.training_losses),
-        )
-
 
 def predict_image(params: MlpParams, img: np.ndarray) -> np.ndarray:
     """Row-wise forward pass over an (M, Q) pixel matrix, chunked for memory."""

@@ -23,14 +23,11 @@ BASELINE_KINDS = ("cc", "ce")
 class LinearPredictor:
     """Affine cross-predictor: predict(x) = gain @ (x - mean_in) + mean_out."""
 
-    kind: str
     gain: np.ndarray  # (Q, Q)
     mean_in: np.ndarray  # (Q,)
     mean_out: np.ndarray  # (Q,)
 
     def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
-            raise ValidationError(f"kind must be one of {BASELINE_KINDS}, got '{self.kind}'")
         gain = np.asarray(self.gain, dtype=np.float64)
         mean_in = np.asarray(self.mean_in, dtype=np.float64)
         mean_out = np.asarray(self.mean_out, dtype=np.float64)
@@ -87,7 +84,7 @@ def fit_cc(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPr
     mean_y = y.mean(axis=0)
     cross_xy = (x - stats_x.mean).T @ (y - mean_y) / x.shape[0]  # cov_xy, (Q, Q)
     gain = solve_spd(stats_x.cov, cross_xy, ridge).T
-    return LinearPredictor("cc", gain, stats_x.mean, mean_y)
+    return LinearPredictor(gain, stats_x.mean, mean_y)
 
 
 def fit_ce(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPredictor:
@@ -100,7 +97,7 @@ def fit_ce(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPr
     stats_x = mean_cov(x)
     stats_y = mean_cov(y)
     gain = sym_sqrt(stats_y.cov) @ inv_sqrt(stats_x.cov, ridge)
-    return LinearPredictor("ce", gain, stats_x.mean, stats_y.mean)
+    return LinearPredictor(gain, stats_x.mean, stats_y.mean)
 
 
 def baseline_map(

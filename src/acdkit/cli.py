@@ -13,26 +13,27 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .acda import AcdaConfig, prepare_samples, run_acda
 from .baselines import diff_rx, run_baseline
 from .core import (
+    IntensityMap,
     _check_cubes,
     _is_int,
     _read_json_object,
     _write_text,
     cube_to_map,
     flatten,
+    map_to_cube,
     read_cube,
     read_mask,
     write_cube,
     write_mask,
 )
 from .errors import AcdkitError, DataIOError, NumericalError, ValidationError
-from .evaluate import export_curve, export_map, export_map_pgm, roc
+from .evaluate import export_curve, export_map_pgm, roc
 from .linalg import _require_ridge
 from .neural import NetworkShape, TrainConfig
 from .synth import SceneSpec, describe, generate
@@ -40,12 +41,12 @@ from .synth import SceneSpec, describe, generate
 _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_lambda")
 _RUN_KEYS = ("sample_count", "repeats", "base_seed")
 _RUN_DEFAULTS = AcdaConfig()
-_ACDA_DEFAULTS = {
-    "h1": None,
-    "h2": None,
+# A sweep's grid supplies h1/h2, so its shared settings are every ACDA key but those.
+_SWEEP_DEFAULTS = {
     **{key: getattr(_RUN_DEFAULTS.train, key) for key in _TRAIN_KEYS},
     **{key: getattr(_RUN_DEFAULTS, key) for key in _RUN_KEYS},
 }
+_ACDA_DEFAULTS = {"h1": None, "h2": None, **_SWEEP_DEFAULTS}
 _LINEAR_DEFAULTS = {"ridge": None}
 
 
@@ -132,19 +133,17 @@ def _load_config(defaults: dict, data: dict, overrides: list[str]) -> dict:
     return merged
 
 
-def _acda_config(conf: dict, shape: NetworkShape | None) -> AcdaConfig:
-    """The run config of merged settings `conf`; the dataclasses check every value."""
-    train = TrainConfig(**{key: conf[key] for key in _TRAIN_KEYS})
-    return AcdaConfig(shape=shape, train=train, **{key: conf[key] for key in _RUN_KEYS})
+def _acda_config(conf: dict, bands: int) -> AcdaConfig:
+    """The run config of merged settings `conf`; the dataclasses check every value.
 
-
-def _acda_shape(conf: dict, bands: int) -> NetworkShape | None:
-    """The bottleneck set by `h1`/`h2`, or None for the run config's default shape."""
+    `h1`/`h2` set together give the bottleneck; both unset leave `shape=None`,
+    the run config's default shape for the cube's band count.
+    """
     if (conf["h1"] is None) != (conf["h2"] is None):
         raise ValidationError("h1 and h2 must be set together")
-    if conf["h1"] is None:
-        return None
-    return NetworkShape.bottleneck(bands, conf["h1"], conf["h2"])
+    shape = None if conf["h1"] is None else NetworkShape.bottleneck(bands, conf["h1"], conf["h2"])
+    train = TrainConfig(**{key: conf[key] for key in _TRAIN_KEYS})
+    return AcdaConfig(shape=shape, train=train, **{key: conf[key] for key in _RUN_KEYS})
 
 
 def _read_pair(x_path, y_path):
@@ -157,8 +156,8 @@ def _read_pair(x_path, y_path):
 def cmd_synth(args) -> int:
     started = time.perf_counter()
     spec = SceneSpec.from_json_file(args.spec)
-    out = _ensure_out_dir(args.out)
     x_cube, y_cube, mask = generate(spec)
+    out = _ensure_out_dir(args.out)
     write_cube(x_cube, out / "x.json")
     write_cube(y_cube, out / "y.json")
     write_mask(mask, out / "truth.pgm")
@@ -178,45 +177,37 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _write_histories(runs, path: Path) -> None:
+def _history_text(runs) -> str:
     lines = ["repeat,direction,epoch,loss"]
     for r, run in enumerate(runs):
         for direction, series in zip(("fwd", "bwd"), run.training_losses):
             for epoch, value in enumerate(series):
                 lines.append(f"{r},{direction},{epoch},{value!r}")
-    _write_text(path, "\n".join(lines) + "\n", "loss history")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_detect(args) -> int:
     started = time.perf_counter()
     x_cube, y_cube = _read_pair(args.x, args.y)
     data = {} if args.config is None else _read_json_object(args.config, "config")
-    outputs: list[Path] = []
+    # Every map and text is built before --out exists, so a failed run leaves nothing.
+    maps: dict[str, IntensityMap] = {}
+    texts: dict[str, tuple[str, str]] = {}
     if args.method == "acda":
         conf = _load_config(_ACDA_DEFAULTS, data, args.set)
-        cfg = _acda_config(conf, _acda_shape(conf, x_cube.bands))
+        cfg = _acda_config(conf, x_cube.bands)
         shape = cfg.resolved_shape(x_cube.bands)
-        out = _ensure_out_dir(args.out)
         samples = prepare_samples(x_cube, y_cube, cfg)
-        mean_map, runs = run_acda(x_cube, y_cube, cfg, samples=samples)
-        export_map(mean_map, out / "map.json")
-        outputs += _cube_files(out / "map.json")
-        _write_histories(runs, out / "losses.csv")
-        outputs.append(out / "losses.csv")
+        maps["map"], runs = run_acda(x_cube, y_cube, cfg, samples=samples)
+        texts["losses.csv"] = (_history_text(runs), "loss history")
         if args.save_samples:
             sample_lines = ["index"] + [str(i) for i in samples.indices]
-            _write_text(out / "samples.csv", "\n".join(sample_lines) + "\n", "sample indices")
-            outputs.append(out / "samples.csv")
+            texts["samples.csv"] = ("\n".join(sample_lines) + "\n", "sample indices")
         if args.save_run_maps:
             for r, run in enumerate(runs):
-                for tag, intensity in (
-                    ("fwd", run.loss_map_fwd),
-                    ("bwd", run.loss_map_bwd),
-                    ("fused", run.fused),
-                ):
-                    name = out / f"run{r}_{tag}.json"
-                    export_map(intensity, name)
-                    outputs += _cube_files(name)
+                maps[f"run{r}_fwd"] = run.loss_map_fwd
+                maps[f"run{r}_bwd"] = run.loss_map_bwd
+                maps[f"run{r}_fused"] = run.fused
         seeds = [cfg.base_seed + r for r in range(cfg.repeats)]
         snapshot = dict(conf)
         snapshot["h1"], snapshot["h2"] = shape.hidden[:2]
@@ -226,20 +217,26 @@ def cmd_detect(args) -> int:
         ridge = conf["ridge"]
         if ridge is not None:
             ridge = _require_ridge(ridge, "config key 'ridge'")
-        out = _ensure_out_dir(args.out)
         if args.method == "diffrx":
             plane = (x_cube.height, x_cube.width)
-            intensity = diff_rx(flatten(x_cube), flatten(y_cube), plane, ridge)
+            maps["map"] = diff_rx(flatten(x_cube), flatten(y_cube), plane, ridge)
         else:
-            intensity = run_baseline(args.method, x_cube, y_cube, ridge)
-        export_map(intensity, out / "map.json")
-        outputs += _cube_files(out / "map.json")
+            maps["map"] = run_baseline(args.method, x_cube, y_cube, ridge)
         seeds = []
         snapshot = dict(conf)
         snapshot["scoring"] = "per-pixel MSE, bidirectional min fusion" if args.method in (
             "cc",
             "ce",
         ) else "mahalanobis distance of differences"
+    cubes = {name: map_to_cube(intensity) for name, intensity in maps.items()}
+    out = _ensure_out_dir(args.out)
+    outputs: list[Path] = []
+    for name, cube in cubes.items():
+        write_cube(cube, out / f"{name}.json")
+        outputs += _cube_files(out / f"{name}.json")
+    for name, (text, what) in texts.items():
+        _write_text(out / name, text, what)
+        outputs.append(out / name)
     inputs = _cube_files(args.x) + _cube_files(args.y)
     if args.config:
         inputs.append(Path(args.config))
@@ -254,8 +251,8 @@ def cmd_eval(args) -> int:
     map_cube = read_cube(args.map)
     intensity = cube_to_map(map_cube)
     mask = read_mask(args.mask, expected_shape=intensity.values.shape)
-    out = _ensure_out_dir(args.out)
     curve = roc(intensity, mask)
+    out = _ensure_out_dir(args.out)
     export_curve(curve, out / "roc.csv")
     export_map_pgm(intensity, out / "map.pgm")
     outputs = [out / "roc.csv", out / "map.pgm"]
@@ -279,20 +276,24 @@ def cmd_sweep(args) -> int:
             )
         axes.append(sorted(set(values), reverse=True))
     h1_values, h2_values = axes
-    conf = _load_config(_ACDA_DEFAULTS, grid, args.set)
-    shared = _acda_config(conf, None)
+    conf = _load_config(_SWEEP_DEFAULTS, grid, args.set)
     bands = x_cube.bands
+    shared = _acda_config(dict(conf, h1=None, h2=None), bands)
     configs = {
-        (h1, h2): replace(shared, shape=NetworkShape.bottleneck(bands, h1, h2))
+        (h1, h2): _acda_config(dict(conf, h1=h1, h2=h2), bands)
         for h2 in h2_values
         for h1 in h1_values
         if 0 < h2 < h1 < bands
     }
-    out = _ensure_out_dir(args.out)
 
     # Pre-detection reads only sample_count and base_seed, which every cell
-    # shares: the first cell runs it and later cells reuse its samples or error.
-    predetected = None
+    # shares: it runs once, and if it fails every cell fails with its error.
+    samples = failure = None
+    if configs:
+        try:
+            samples = prepare_samples(x_cube, y_cube, shared)
+        except AcdkitError as exc:
+            failure = exc
     rows = ["h2/h1," + ",".join(str(h1) for h1 in h1_values)]
     for h2 in h2_values:
         cells = []
@@ -301,23 +302,21 @@ def cmd_sweep(args) -> int:
             if cfg is None:
                 cells.append("-")
                 continue
-            try:
-                if predetected is None:
-                    try:
-                        predetected = prepare_samples(x_cube, y_cube, cfg)
-                    except AcdkitError as exc:
-                        predetected = exc
-                if isinstance(predetected, AcdkitError):
-                    raise predetected
-                mean_map, _ = run_acda(x_cube, y_cube, cfg, samples=predetected)
-                auc = roc(mean_map, mask).auc
-            except AcdkitError as exc:
-                logging.getLogger(__name__).warning("cell h1=%d h2=%d failed: %s", h1, h2, exc)
+            error = failure
+            if error is None:
+                try:
+                    mean_map, _ = run_acda(x_cube, y_cube, cfg, samples=samples)
+                    auc = roc(mean_map, mask).auc
+                except AcdkitError as exc:
+                    error = exc
+            if error is not None:
+                logging.getLogger(__name__).warning("cell h1=%d h2=%d failed: %s", h1, h2, error)
                 cells.append("nan")
                 continue
             cells.append(f"{auc:.6f}")
             _emit(**{f"auc_h1_{h1}_h2_{h2}": f"{auc:.6f}"})
         rows.append(f"{h2}," + ",".join(cells))
+    out = _ensure_out_dir(args.out)
     table = out / "sweep.csv"
     _write_text(table, "\n".join(rows) + "\n", "sweep table")
     inputs = _cube_files(args.x) + _cube_files(args.y) + [Path(args.mask), Path(args.grid)]

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import GroundTruthMask, IntensityMap, _write_text, map_to_cube, write_cube, write_pgm
-from .errors import DataIOError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -120,35 +118,3 @@ def export_curve(curve: RocCurve, path) -> None:
     lines.append(f"# auc={curve.auc:.6f}")
     _write_text(path, "\n".join(lines) + "\n", "curve")
 
-
-def read_curve(path) -> RocCurve:
-    """Parse a curve CSV written by `export_curve`."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot read curve from {path}: {exc}") from exc
-    thresholds, far, dr, auc = [], [], [], None
-    for line_no, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or line_no == 0:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition("=")
-            if key.strip() == "auc":
-                auc = float(value)
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataIOError(f"malformed curve row {line_no + 1} in {path}: {line!r}")
-        try:
-            t, f, d = (float(p) for p in parts)
-        except ValueError as exc:
-            raise DataIOError(f"non-numeric curve row {line_no + 1} in {path}") from exc
-        thresholds.append(t)
-        far.append(f)
-        dr.append(d)
-    if auc is None:
-        raise DataIOError(f"curve file {path} is missing the auc comment")
-    if math.isnan(auc):
-        raise DataIOError(f"curve file {path} carries a NaN auc")
-    return RocCurve(np.array(thresholds), np.array(far), np.array(dr), auc)

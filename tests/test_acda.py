@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from acdkit.acda import (
     AcdaConfig,
-    AcdaRun,
     default_shape,
     fuse_min,
     loss_map,
@@ -221,20 +220,6 @@ class TestConfig:
         cfg = AcdaConfig(shape=NetworkShape.bottleneck(8, 5, 3))
         with pytest.raises(ValidationError, match="bands"):
             cfg.resolved_shape(16)
-
-    def test_run_validation_enforces_min_fusion(self):
-        zero = IntensityMap(np.zeros((2, 2)))
-        one = IntensityMap(np.ones((2, 2)))
-        params = init_params(NetworkShape(3, (2,), 3), seed=0)
-        with pytest.raises(ValidationError, match="minimum"):
-            AcdaRun(
-                params_fwd=params,
-                params_bwd=params,
-                loss_map_fwd=one,
-                loss_map_bwd=one,
-                fused=zero,
-                training_losses=((1.0,), (1.0,)),
-            )
 
 
 def _scene(anomalies=(), seed=5, condition="affine", sigma=0.01, side=16, bands=8):

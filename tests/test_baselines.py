@@ -103,7 +103,6 @@ class TestFitCc:
         best = float(np.sum((pred.predict(x) - y) ** 2))
         for _ in range(100):
             noisy = LinearPredictor(
-                "cc",
                 pred.gain + rng.normal(scale=1e-3, size=pred.gain.shape),
                 pred.mean_in,
                 pred.mean_out,
@@ -158,7 +157,7 @@ class TestBaselineMap:
     def test_perfect_predictor_scores_zero(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=(30, 3))
-        pred = LinearPredictor("cc", np.eye(3), np.zeros(3), np.zeros(3))
+        pred = LinearPredictor(np.eye(3), np.zeros(3), np.zeros(3))
         assert_array_equal(baseline_map(pred, x, x.copy(), (5, 6)).values, np.zeros((5, 6)))
 
     def test_matches_shared_scoring_rule_exactly(self):
@@ -208,15 +207,11 @@ class TestRunBaseline:
 
 
 class TestLinearPredictorValidation:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValidationError, match="kind"):
-            LinearPredictor("pca", np.eye(2), np.zeros(2), np.zeros(2))
-
     def test_rejects_non_square_gain(self):
         with pytest.raises(ValidationError, match="square"):
-            LinearPredictor("cc", np.ones((2, 3)), np.zeros(3), np.zeros(2))
+            LinearPredictor(np.ones((2, 3)), np.zeros(3), np.zeros(2))
 
     def test_predict_dimension_mismatch(self):
-        pred = LinearPredictor("cc", np.eye(3), np.zeros(3), np.zeros(3))
+        pred = LinearPredictor(np.eye(3), np.zeros(3), np.zeros(3))
         with pytest.raises(ValidationError, match="match"):
             pred.predict(np.ones((5, 4)))

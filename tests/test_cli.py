@@ -10,9 +10,17 @@ from numpy.testing import assert_array_equal
 
 from acdkit.acda import AcdaConfig, run_acda
 from acdkit.cli import main
-from acdkit.core import HyperCube, cube_to_map, read_cube, read_mask, write_cube
+from acdkit.core import (
+    GroundTruthMask,
+    HyperCube,
+    cube_to_map,
+    read_cube,
+    read_mask,
+    write_cube,
+    write_mask,
+)
 from acdkit.errors import NumericalError
-from acdkit.evaluate import export_map, read_curve, roc
+from acdkit.evaluate import export_map, roc
 from acdkit.core import IntensityMap
 from acdkit.neural import NetworkShape, TrainConfig
 from acdkit.synth import AnomalyRect, SceneSpec, generate
@@ -366,7 +374,7 @@ class TestEval:
         assert main(["eval", str(map_path), str(ws["small"]["truth"]), "--out", str(out)]) == 0
         pairs = _emit_pairs(capsys.readouterr().out)
         assert pairs["auc"] == "1.000000"
-        assert read_curve(out / "roc.csv").auc == 1.0
+        assert (out / "roc.csv").read_text().splitlines()[-1] == "# auc=1.000000"
         rendering = read_mask(out / "map.pgm")
         assert rendering.labels.shape == truth.labels.shape
 
@@ -383,7 +391,7 @@ class TestEval:
         out = tmp_path / "eval"
         assert main(["eval", str(map_path), str(ws["small"]["truth"]), "--out", str(out)]) == 0
         pairs = _emit_pairs(capsys.readouterr().out)
-        assert abs(read_curve(out / "roc.csv").auc - float(pairs["auc"])) < 5e-7
+        assert (out / "roc.csv").read_text().splitlines()[-1] == f"# auc={pairs['auc']}"
 
     def test_shape_mismatch_rejected(self, ws, tmp_path):
         map_path = self._export(np.zeros((4, 4)), tmp_path / "tiny.json")
@@ -479,6 +487,33 @@ class TestSweep:
         assert len(failures) == 2
         assert all("no change structure" in message for message in failures)
 
+    def test_grid_without_bottleneck_skips_predetection(self, ws, tmp_path, monkeypatch):
+        calls = self._count_predetection(monkeypatch)
+        small = ws["small"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [3], "h2": [4], "epochs": 1, "repeats": 1}),
+                        encoding="utf-8")
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(small["x"]), str(small["y"]), str(small["truth"]),
+                     str(grid), "--out", str(out)])
+        assert code == 0
+        assert calls == []
+        assert (out / "sweep.csv").read_text().splitlines() == ["h2/h1,3", "4,-"]
+
+    @pytest.mark.parametrize("setting", ["h1=3", "h2=2"])
+    def test_grid_axes_cannot_be_set(self, ws, tmp_path, capsys, setting):
+        # h1/h2 are the grid's axes, not shared settings.
+        small = ws["small"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [6], "h2": [4], "epochs": 1, "repeats": 1}),
+                        encoding="utf-8")
+        code = main(["sweep", str(small["x"]), str(small["y"]), str(small["truth"]),
+                     str(grid), "--set", setting, "--out", str(tmp_path / "o")])
+        assert code == 1
+        key = setting.partition("=")[0]
+        assert _error_lines(capsys) == [f"error: unknown config key '{key}'"]
+        assert not (tmp_path / "o").exists()
+
     def test_grid_missing_axis_rejected(self, ws, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"h1": [4]}), encoding="utf-8")
@@ -501,6 +536,66 @@ class TestSweep:
         lines = _error_lines(capsys)
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "o").exists()
+
+
+def _scaled_pair(ws, tmp_path, factor):
+    paths = []
+    for name in ("x", "y"):
+        cube = read_cube(ws["small"][name])
+        paths.append(tmp_path / f"{name}.json")
+        write_cube(HyperCube(cube.data * np.float32(factor)), paths[-1])
+    return [str(path) for path in paths]
+
+
+def _unlabelled_eval_inputs(tmp_path):
+    map_path, mask_path = tmp_path / "map.json", tmp_path / "none.pgm"
+    export_map(IntensityMap(np.ones((16, 16))), map_path)
+    write_mask(GroundTruthMask(np.zeros((16, 16), dtype=np.uint8)), mask_path)
+    return [str(map_path), str(mask_path)]
+
+
+class TestFailedRunWritesNothing:
+    """--out is created only once every check before the first write has passed."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["cc-beyond-float32", "acda-beyond-float32", "acda-divergence", "acda-identical-pair",
+         "eval-no-anomaly"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_output_directory(self, ws, tmp_path, capsys, case):
+        small, flat = ws["small"], ws["flat"]
+        short = ["--set", "epochs=2", "--set", "repeats=1"]
+        expected_code, argv = {
+            "cc-beyond-float32": (3, lambda: ["detect", "cc", *_scaled_pair(ws, tmp_path, 1e30)]),
+            "acda-beyond-float32": (3, lambda: [
+                "detect", "acda", *_scaled_pair(ws, tmp_path, 1e30), *short
+            ]),
+            "acda-divergence": (3, lambda: [
+                "detect", "acda", str(small["x"]), str(small["y"]),
+                "--set", "learning_rate=1e300", "--set", "epochs=2",
+            ]),
+            "acda-identical-pair": (3, lambda: [
+                "detect", "acda", str(flat["x"]), str(flat["y"]), *short
+            ]),
+            "eval-no-anomaly": (1, lambda: ["eval", *_unlabelled_eval_inputs(tmp_path)]),
+        }[case]
+        out = tmp_path / "o"
+        assert main(argv() + ["--out", str(out)]) == expected_code
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_existing_output_directory_is_kept(self, ws, tmp_path, capsys):
+        flat = ws["flat"]
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept", encoding="utf-8")
+        code = main(["detect", "acda", str(flat["x"]), str(flat["y"]),
+                     "--set", "epochs=2", "--set", "repeats=1", "--out", str(out)])
+        assert code == 3
+        assert [path.name for path in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text(encoding="utf-8") == "kept"
 
 
 class TestUnwritableOutput:
