@@ -155,12 +155,13 @@ def run_acda(
     (`derived_seed(base_seed + r, 0)` for x -> y, `..., 1)` for y -> x), so
     every repeat starts from fresh weights while the whole run stays
     reproducible. All 2 x repeats predictors train together in one
-    `train_lockstep` call on the rows of `samples`; each equals the net
-    that a step-by-step loop over `loss`, `backward` and `adam_step` trains
-    from its seed, bit for bit. The mean map is the pixelwise average of
-    the fused maps, accumulated in repeat order, so reruns are
-    bit-identical. A predictor whose training loss turns non-finite raises
-    NumericalError naming its repeat, direction and epoch.
+    `train_lockstep` call on one (2, S, Q) pool, the x and y rows of
+    `samples`; each equals the net that a step-by-step loop over `loss`,
+    `backward` and `adam_step` trains from its seed, bit for bit. The mean
+    map is the pixelwise average of the fused maps, accumulated in repeat
+    order, so reruns are bit-identical. A predictor whose training loss
+    turns non-finite raises NumericalError naming its repeat, direction and
+    epoch.
     """
     _check_cubes(x_cube, y_cube)
     if samples is None:
@@ -169,13 +170,11 @@ def run_acda(
     y = flatten(y_cube)
     plane = (x_cube.height, x_cube.width)
 
-    pair = np.stack([samples.inputs, samples.labels])
-    # direction 0 maps pool 0 (x) to pool 1 (y), direction 1 the reverse
+    # direction 0 maps block 0 (x) of the pool to block 1 (y), direction 1 the reverse
     nets = [(r, direction) for r in range(cfg.repeats) for direction in (0, 1)]
     trained = train_lockstep(
         cfg.resolved_shape(x_cube.bands),
-        pair,
-        pair,
+        np.stack([samples.inputs, samples.labels]),
         [(direction, 1 - direction) for _, direction in nets],
         [derived_seed(cfg.base_seed + r, direction) for r, direction in nets],
         cfg.train,

@@ -100,19 +100,10 @@ def flatten(cube: HyperCube) -> np.ndarray:
 
     Row (r * W + c) is the spectrum at (r, c). Values are promoted to
     float64 so downstream statistics and training run in full precision;
-    `unflatten` casts back to float32 exactly.
+    a cast back to float32 restores the cube's values exactly.
     """
     h, w, q = cube.shape
     return cube.data.reshape(h * w, q).astype(np.float64)
-
-
-def unflatten(matrix: np.ndarray, shape: tuple[int, int]) -> HyperCube:
-    """Inverse of `flatten`: rebuild an H x W x Q cube from an M x Q matrix."""
-    h, w = shape
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != h * w:
-        raise ValidationError(f"matrix shape {m.shape} does not match spatial shape {shape}")
-    return HyperCube(m.reshape(h, w, m.shape[1]))
 
 
 def _is_int(value) -> bool:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundTruthMask, IntensityMap, _write_text, map_to_cube, write_cube, write_pgm
+from .core import GroundTruthMask, IntensityMap, _write_text, write_pgm
 from .errors import ValidationError
 
 
@@ -47,10 +47,6 @@ class RocCurve:
         object.__setattr__(self, "far", far)
         object.__setattr__(self, "dr", dr)
         object.__setattr__(self, "auc", float(self.auc))
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(f), float(d)) for f, d in zip(self.far, self.dr)]
 
 
 def roc(intensity: IntensityMap, truth: GroundTruthMask) -> RocCurve:
@@ -94,11 +90,6 @@ def stretch2(intensity: IntensityMap) -> np.ndarray:
         return np.zeros(values.shape, dtype=np.uint8)
     scaled = (np.clip(values, lo, hi) - lo) / (hi - lo) * 255.0
     return np.floor(scaled + 0.5).astype(np.uint8)
-
-
-def export_map(intensity: IntensityMap, path) -> None:
-    """Write a map as a single-band header+raw cube (float32)."""
-    write_cube(map_to_cube(intensity), path)
 
 
 def export_map_pgm(intensity: IntensityMap, path) -> None:

@@ -117,10 +117,6 @@ class MlpParams:
         self.biases = views[len(weights) :]
 
     @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def input_dim(self) -> int:
         return self.weights[0].shape[-1]
 
@@ -341,8 +337,7 @@ def adam_step(
 
 def train_lockstep(
     shape: NetworkShape,
-    inputs: np.ndarray,
-    labels: np.ndarray,
+    pool: np.ndarray,
     roles: list[tuple[int, int]],
     seeds: list[int],
     config: TrainConfig,
@@ -350,11 +345,11 @@ def train_lockstep(
 ) -> list[tuple[MlpParams, list[float]]]:
     """Train len(seeds) nets of one shape at once, one batched matmul per layer.
 
-    `inputs` (P, S, input_dim) and `labels` (P', S, output_dim) are pools of
-    sample rows shared by every net: net k maps inputs[roles[k][0]] to
-    labels[roles[k][1]], and its batches are gathered from those pools, so
-    no net gets a copy of its own. Net k owns the generator
-    `default_rng(seeds[k])`, which draws its He init and then one
+    `pool` (P, S, Q) holds P blocks of S sample rows, shared by every net:
+    net k maps block roles[k][0] to block roles[k][1], and its batches are
+    gathered from the pool, so no net gets a copy of its own. One pool has
+    one width, so the shape must map Q bands to Q bands. Net k owns the
+    generator `default_rng(seeds[k])`, which draws its He init and then one
     permutation per epoch, so a fixed seed yields a bit-identical run. The
     final short batch of each epoch is trained on like any other. Each
     net's weights and losses are bit-identical to training it alone, one
@@ -363,7 +358,7 @@ def train_lockstep(
     The parameters and gradients of all nets are two stacked `MlpParams`,
     and the Adam moments two flat buffers of their layout, allocated once:
     every step writes its gradients into theirs and then takes one in-place
-    Adam pass over all of them. The sample pools are only read, and each
+    Adam pass over all of them. The sample pool is only read, and each
     returned net owns a copy of its weights.
 
     Returns one (params, per-epoch losses) pair per net, in seed order; an
@@ -372,19 +367,16 @@ def train_lockstep(
     one raises NumericalError naming its net (`names[k]`) and the epoch.
     Overflow on the way there is expected and raises no numpy warning.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if inputs.ndim != 3 or labels.ndim != 3 or inputs.shape[1] != labels.shape[1]:
-        raise ValidationError(
-            f"sample pools must be (P, S, dim) with equal S, got {inputs.shape} and {labels.shape}"
-        )
-    size = inputs.shape[1]
+    pool = np.asarray(pool, dtype=np.float64)
+    if pool.ndim != 3:
+        raise ValidationError(f"sample pool must be (P, S, Q), got {pool.shape}")
+    size = pool.shape[1]
     if size == 0:
         raise ValidationError("cannot train on an empty sample set")
-    if shape.input_dim != inputs.shape[2] or shape.output_dim != labels.shape[2]:
+    width = pool.shape[2]
+    if not shape.input_dim == shape.output_dim == width:
         raise ValidationError(
-            f"shape {shape.layer_dims} does not match sample dims "
-            f"{inputs.shape[2]} -> {labels.shape[2]}"
+            f"shape {shape.layer_dims} does not match sample dims {width} -> {width}"
         )
     count = len(seeds)
     if count < 1 or len(roles) != count or len(names) != count:
@@ -392,12 +384,11 @@ def train_lockstep(
             f"need one role and name per seed, got {len(roles)} roles, "
             f"{len(names)} names, {count} seeds"
         )
-    if any(not (0 <= a < inputs.shape[0] and 0 <= b < labels.shape[0]) for a, b in roles):
-        raise ValidationError(f"roles {roles} index outside the sample pools")
-    # Batches are gathered with np.take from the pools flattened to rows:
-    # net k's sample j is row roles[k][0] * S + j of the inputs.
-    input_rows = inputs.reshape(-1, inputs.shape[2])
-    label_rows = labels.reshape(-1, labels.shape[2])
+    if any(not (0 <= a < pool.shape[0] and 0 <= b < pool.shape[0]) for a, b in roles):
+        raise ValidationError(f"roles {roles} index outside the sample pool")
+    # Batches are gathered with np.take from the pool flattened to rows:
+    # sample j of block p is row p * S + j.
+    rows = pool.reshape(-1, width)
     src = np.array([a for a, _ in roles])[:, np.newaxis] * size
     dst = np.array([b for _, b in roles])[:, np.newaxis] * size
 
@@ -420,8 +411,8 @@ def train_lockstep(
                 batch = slice(start, start + config.batch_size)
                 value = _loss_and_grads(
                     params, grads,
-                    np.take(input_rows, input_idx[:, batch], axis=0),
-                    np.take(label_rows, label_idx[:, batch], axis=0),
+                    np.take(rows, input_idx[:, batch], axis=0),
+                    np.take(rows, label_idx[:, batch], axis=0),
                     config.l2_lambda,
                 )
                 _adam_update(params.data, grads.data, state, config.learning_rate, work)

@@ -65,10 +65,6 @@ class UsfaModel:
         object.__setattr__(self, "mean_x", mx)
         object.__setattr__(self, "mean_y", my)
 
-    @property
-    def n_components(self) -> int:
-        return self.projection.shape[0]
-
 
 @dataclass(frozen=True)
 class ClusterResult:
@@ -76,20 +72,6 @@ class ClusterResult:
 
     centers: np.ndarray
     assignments: np.ndarray
-
-    def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.float64)
-        assignments = np.asarray(self.assignments, dtype=np.int64)
-        if centers.ndim != 1 or centers.size < 1:
-            raise ValidationError("centers must be a non-empty vector")
-        if np.any(np.diff(centers) <= 0):
-            raise ValidationError("centers must be strictly ascending")
-        if assignments.ndim != 1:
-            raise ValidationError("assignments must be a flat index vector")
-        if assignments.size and (assignments.min() < 0 or assignments.max() >= centers.size):
-            raise ValidationError("assignments reference nonexistent clusters")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "assignments", assignments)
 
 
 def usfa_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> UsfaModel:
@@ -156,8 +138,9 @@ def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
 
     Centers start at the (2j+1)/(2k) quantiles, so runs are reproducible
     without randomness. An emptied cluster is re-seeded at the value
-    farthest from its currently assigned center. Stops when the assignment
-    is stable or after 300 iterations.
+    farthest from its currently assigned center, among the values whose
+    cluster keeps another member. Stops when the assignment is stable or
+    after 300 iterations.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -172,6 +155,9 @@ def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
         for cluster in range(k):
             if not np.any(new_assignments == cluster):
                 residual = np.abs(flat - centers[new_assignments])
+                # never take a cluster's last member, or that cluster empties instead
+                sizes = np.bincount(new_assignments, minlength=k)
+                residual[sizes[new_assignments] < 2] = -1.0
                 outlier = int(np.argmax(residual))
                 centers[cluster] = flat[outlier]
                 new_assignments[outlier] = cluster

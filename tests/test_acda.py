@@ -58,7 +58,7 @@ def _train_directions(samples, cfg, seeds):
     pair = np.stack([samples.inputs, samples.labels])
     roles = [(0, 1), (1, 0)][: len(seeds)]
     return train_lockstep(
-        cfg.resolved_shape(pair.shape[2]), pair, pair, roles, seeds, cfg.train,
+        cfg.resolved_shape(pair.shape[2]), pair, roles, seeds, cfg.train,
         [f"net {k}" for k in range(len(seeds))],
     )
 
@@ -125,6 +125,27 @@ class TestPredictImage:
         params = init_params(NetworkShape(4, (3,), 4), seed=7)
         with pytest.raises(ValidationError, match="input"):
             predict_image(params, np.ones((10, 5)))
+
+    def test_chunked_prediction_matches_one_chunk(self, monkeypatch):
+        # Images above _PREDICT_CHUNK rows (any paper-size scene) are split;
+        # 30 rows in chunks of 7 end on a short chunk of 2. BLAS may pick
+        # another kernel for a short block, so the low bits may move.
+        rng = np.random.default_rng(31)
+        params = init_params(NetworkShape.bottleneck(16, 8, 5), seed=11)
+        img = rng.uniform(0.0, 1.0, size=(30, 16))
+        whole = predict_image(params, img)
+        rows = []
+
+        def counting_forward(p, x):
+            rows.append(x.shape[0])
+            return forward_batch(p, x)
+
+        monkeypatch.setattr("acdkit.acda._PREDICT_CHUNK", 7)
+        monkeypatch.setattr("acdkit.acda.forward_batch", counting_forward)
+        chunked = predict_image(params, img)
+        assert rows == [7, 7, 7, 7, 2]
+        assert chunked.shape == whole.shape
+        assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 class TestLossMap:

@@ -14,13 +14,14 @@ from acdkit.core import (
     GroundTruthMask,
     HyperCube,
     cube_to_map,
+    map_to_cube,
     read_cube,
     read_mask,
     write_cube,
     write_mask,
 )
 from acdkit.errors import NumericalError
-from acdkit.evaluate import export_map, roc
+from acdkit.evaluate import roc
 from acdkit.core import IntensityMap
 from acdkit.neural import NetworkShape, TrainConfig
 from acdkit.synth import AnomalyRect, SceneSpec, generate
@@ -364,7 +365,7 @@ class TestDetectAcda:
 
 class TestEval:
     def _export(self, values, path):
-        export_map(IntensityMap(np.asarray(values, dtype=np.float64)), path)
+        write_cube(map_to_cube(IntensityMap(np.asarray(values, dtype=np.float64))), path)
         return path
 
     def test_perfect_map_scores_unit_auc(self, ws, tmp_path, capsys):
@@ -549,7 +550,7 @@ def _scaled_pair(ws, tmp_path, factor):
 
 def _unlabelled_eval_inputs(tmp_path):
     map_path, mask_path = tmp_path / "map.json", tmp_path / "none.pgm"
-    export_map(IntensityMap(np.ones((16, 16))), map_path)
+    write_cube(map_to_cube(IntensityMap(np.ones((16, 16)))), map_path)
     write_mask(GroundTruthMask(np.zeros((16, 16), dtype=np.uint8)), mask_path)
     return [str(map_path), str(mask_path)]
 

@@ -9,7 +9,6 @@ from acdkit.errors import ValidationError
 from acdkit.evaluate import (
     RocCurve,
     export_curve,
-    export_map,
     export_map_pgm,
     roc,
     stretch2,
@@ -31,7 +30,7 @@ class TestRoc:
         imap, truth = _labeled_map(np.full((2, 2), 7.0), [[0, 0], [1, 1]])
         curve = roc(imap, truth)
         assert curve.auc == 0.5
-        assert curve.points == [(0.0, 0.0), (1.0, 1.0)]
+        assert list(zip(curve.far, curve.dr)) == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(3)
@@ -197,11 +196,11 @@ class TestExport:
         assert rendered.labels.shape == (9, 13)
 
     def test_map_export_round_trips_through_container(self, tmp_path):
-        from acdkit.core import cube_to_map, read_cube
+        from acdkit.core import cube_to_map, map_to_cube, read_cube, write_cube
 
         rng = np.random.default_rng(21)
         imap = IntensityMap(np.abs(rng.normal(size=(6, 7)).astype(np.float32)))
         path = tmp_path / "map.json"
-        export_map(imap, path)
+        write_cube(map_to_cube(imap), path)
         again = cube_to_map(read_cube(path))
         assert_array_equal(again.values, imap.values)

@@ -15,7 +15,6 @@ from acdkit.core import (
     map_to_cube,
     read_cube,
     read_mask,
-    unflatten,
     write_cube,
     write_mask,
     write_pgm,
@@ -138,12 +137,6 @@ class TestFlatten:
         data = np.array([[[1, 2], [3, 4]]], dtype=np.float32)  # 1 x 2 x 2
         assert_array_equal(flatten(HyperCube(data)), [[1, 2], [3, 4]])
 
-    def test_unflatten_inverts_flatten(self):
-        rng = np.random.default_rng(3)
-        cube = HyperCube(rng.normal(size=(3, 5, 7)).astype(np.float32))
-        again = unflatten(flatten(cube), (3, 5))
-        assert_array_equal(again.data, cube.data)
-
     def test_single_pixel_cube_is_one_row(self):
         spectrum = np.arange(6, dtype=np.float32)
         matrix = flatten(HyperCube(spectrum.reshape(1, 1, 6)))
@@ -156,10 +149,6 @@ class TestFlatten:
         matrix = flatten(cube)
         for r, c in ((0, 0), (1, 4), (3, 5), (2, 2)):
             assert_array_equal(matrix[r * 6 + c], cube.data[r, c].astype(np.float64))
-
-    def test_unflatten_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            unflatten(np.ones((5, 2)), (2, 2))
 
 
 class TestReadMask:
@@ -270,7 +259,7 @@ class TestRoundTripProperties:
             again = read_cube(path)
             assert again.shape == cube.shape
             assert again.data.tobytes() == cube.data.tobytes()
-            assert_array_equal(unflatten(flatten(cube), shape[:2]).data, cube.data)
+            assert_array_equal(flatten(cube).reshape(shape).astype(np.float32), cube.data)
 
     def test_mask_round_trips_random_shapes(self, tmp_path):
         rng = np.random.default_rng(23)

@@ -127,7 +127,7 @@ class TestForward:
         current = x
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             current = w @ current + b
-            if i < params.n_layers - 1:
+            if i < len(params.weights) - 1:
                 current = np.maximum(current, 0.0)
         out, acts = forward_batch(params, x[np.newaxis, :])
         assert_allclose(out[0], current, rtol=1e-12)
@@ -329,19 +329,19 @@ class TestTrainConfig:
 
 
 def _train_one(shape, inputs, labels, config, seed):
-    """One net through `train_lockstep`: pools of one input and one label block."""
+    """One net through `train_lockstep`: a pool of an input and a label block."""
     [trained] = train_lockstep(
-        shape, inputs[np.newaxis], labels[np.newaxis], [(0, 0)], [seed], config, ["network"]
+        shape, np.stack([inputs, labels]), [(0, 1)], [seed], config, ["network"]
     )
     return trained
 
 
 class TestTrain:
-    @pytest.mark.parametrize("shape", [NetworkShape(4, (6, 5), 3)], ids=["linear"])
+    @pytest.mark.parametrize("shape", [NetworkShape(4, (6, 5), 4)], ids=["linear"])
     def test_matches_reference_loop_bit_for_bit(self, shape):
         # 37 samples at batch 8: four full batches and a short one per epoch.
         rng = np.random.default_rng(71)
-        inputs, labels = rng.normal(size=(37, 4)), rng.uniform(0.0, 1.0, size=(37, 3))
+        inputs, labels = rng.normal(size=(37, 4)), rng.uniform(0.0, 1.0, size=(37, 4))
         config = TrainConfig(epochs=6, batch_size=8, learning_rate=1e-2)
         assert_same_net(
             _train_one(shape, inputs, labels, config, seed=13),
@@ -351,13 +351,14 @@ class TestTrain:
     def test_lockstep_matches_one_net_at_a_time(self):
         rng = np.random.default_rng(73)
         inputs = rng.normal(size=(2, 29, 4))
-        labels = rng.uniform(0.0, 1.0, size=(3, 29, 2))
-        shape = NetworkShape(4, (5,), 2)
+        labels = rng.uniform(0.0, 1.0, size=(3, 29, 4))
+        pool = np.concatenate([inputs, labels])  # label block b is pool block 2 + b
+        shape = NetworkShape(4, (5,), 4)
         config = TrainConfig(epochs=5, batch_size=8, learning_rate=1e-2)
         roles = [(0, 2), (1, 0), (1, 2), (0, 2)]
         seeds = [3, 4, 5, 6]
         names = [f"net {k}" for k in range(len(seeds))]
-        trained = train_lockstep(shape, inputs, labels, roles, seeds, config, names)
+        trained = train_lockstep(shape, pool, [(a, 2 + b) for a, b in roles], seeds, config, names)
         assert len(trained) == len(seeds)
         for (a, b), seed, got in zip(roles, seeds, trained):
             alone = reference_train(shape, SampleSet(inputs[a], labels[b]), config, seed)
@@ -365,29 +366,32 @@ class TestTrain:
 
     def test_lockstep_leaves_pools_unchanged_and_returns_unshared_nets(self):
         # Training updates its buffers in place; none of that may reach the
-        # caller's sample pools or tie one returned net to another.
+        # caller's sample pool or tie one returned net to another.
         rng = np.random.default_rng(77)
-        inputs = rng.normal(size=(2, 21, 3))
-        labels = rng.normal(size=(2, 21, 3))
-        before = inputs.tobytes(), labels.tobytes()
+        pool = rng.normal(size=(4, 21, 3))
+        before = pool.tobytes()
         config = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-2)
         trained = train_lockstep(
-            NetworkShape(3, (4, 2), 3), inputs, labels, [(0, 1), (1, 0), (0, 0)], [1, 2, 3],
+            NetworkShape(3, (4, 2), 3), pool, [(0, 3), (1, 2), (0, 2)], [1, 2, 3],
             config, ["a", "b", "c"],
         )
-        assert (inputs.tobytes(), labels.tobytes()) == before
+        assert pool.tobytes() == before
         arrays = [a for params, _ in trained for a in params.weights + params.biases]
         for i, a in enumerate(arrays):
-            assert not np.shares_memory(a, inputs) and not np.shares_memory(a, labels)
+            assert not np.shares_memory(a, pool)
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
 
     def test_lockstep_rejects_roles_outside_pools(self):
         pool = np.ones((2, 8, 3))
         with pytest.raises(ValidationError, match="roles"):
-            train_lockstep(
-                NetworkShape(3, (4,), 3), pool, pool, [(0, 2)], [0], TrainConfig(), ["net"]
-            )
+            train_lockstep(NetworkShape(3, (4,), 3), pool, [(0, 2)], [0], TrainConfig(), ["net"])
+
+    def test_lockstep_rejects_unequal_widths(self):
+        # One pool has one width, so a net must map Q bands to Q bands.
+        pool = np.ones((2, 8, 3))
+        with pytest.raises(ValidationError, match=r"shape \(3, 4, 2\)"):
+            train_lockstep(NetworkShape(3, (4,), 2), pool, [(0, 1)], [0], TrainConfig(), ["net"])
 
     def test_divergence_is_numerical_error(self):
         # The overflow on the way to a non-finite loss raises no numpy warning:
@@ -424,8 +428,8 @@ class TestTrain:
         inputs = rng.normal(size=(64, 4))[np.newaxis]
         config = TrainConfig(epochs=10, batch_size=16)
         shape = NetworkShape(4, (6,), 4)
-        first = train_lockstep(shape, inputs, inputs, [(0, 0)] * 2, [5, 5], config, ["a", "b"])
-        again = train_lockstep(shape, inputs, inputs, [(0, 0)] * 2, [5, 5], config, ["a", "b"])
+        first = train_lockstep(shape, inputs, [(0, 0)] * 2, [5, 5], config, ["a", "b"])
+        again = train_lockstep(shape, inputs, [(0, 0)] * 2, [5, 5], config, ["a", "b"])
         for trained in (first[1], again[0], again[1]):
             assert_same_net(trained, first[0])
 

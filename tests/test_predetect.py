@@ -1,6 +1,7 @@
 """Slow-feature pre-detection, scalar K-means, and training-pair selection."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from acdkit.core import IntensityMap
 from acdkit.errors import ValidationError
 from acdkit.predetect import (
-    ClusterResult,
     UsfaModel,
     default_sample_count,
     kmeans_1d,
@@ -30,7 +30,7 @@ class TestUsfaFit:
         x = rng.normal(size=(100, 4))
         model = usfa_fit(x, x.copy())
         assert not model.fallback
-        assert model.n_components == 4  # every eigenvalue is 0 < 1
+        assert model.projection.shape[0] == 4  # every eigenvalue is 0 < 1
         assert_allclose(model.eigenvalues, np.zeros(4), atol=1e-10)
         scores = usfa_intensity(model, x, x.copy(), (10, 10))
         assert_array_equal(scores.values, np.zeros((10, 10)))
@@ -53,14 +53,14 @@ class TestUsfaFit:
         model = usfa_fit(x, y, ridge=0.0)
         slow = _population_cov(x - y)
         both = 0.5 * (_population_cov(x) + _population_cov(y))
-        for k in range(model.n_components):
+        for k in range(model.projection.shape[0]):
             w = model.projection[k]
             residual = slow @ w - model.eigenvalues[k] * both @ w
             assert np.linalg.norm(residual) < 1e-6
         # The pure-change direction varies faster between images than within
         # (lambda ~ 4/3 > 1), so only the three shared directions remain.
         assert not model.fallback
-        assert model.n_components == 3
+        assert model.projection.shape[0] == 3
 
     def test_fallback_keeps_single_slowest(self):
         # Make every between-image difference faster than the within-image
@@ -70,7 +70,7 @@ class TestUsfaFit:
         y = rng.normal(size=(300, 3)) * 2.0
         model = usfa_fit(x, y, ridge=0.0)
         assert model.fallback
-        assert model.n_components == 1
+        assert model.projection.shape[0] == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="disagree"):
@@ -121,7 +121,7 @@ class TestUsfaIntensity:
         for i in range(20):
             diff = (x[i] - model.mean_x) - (y[i] - model.mean_y)
             total = 0.0
-            for k in range(model.n_components):
+            for k in range(model.projection.shape[0]):
                 projected = float(model.projection[k] @ diff)
                 total += projected**2 / max(model.eigenvalues[k], 1e-12)
             assert scores[i] == pytest.approx(total, rel=1e-12)
@@ -189,9 +189,15 @@ class TestKmeans1d:
         result = kmeans_1d(rng.normal(size=100), k=4)
         assert np.all(np.diff(result.centers) > 0)
 
-    def test_cluster_result_rejects_bad_assignment(self):
-        with pytest.raises(ValidationError, match="nonexistent"):
-            ClusterResult(np.array([0.0, 1.0]), np.array([0, 2]))
+    def test_reseeding_never_empties_a_passed_cluster(self):
+        # Quantile seeding leaves cluster 2 empty and 0 alone in cluster 0.
+        # Refilling cluster 2 must not take 0, the farthest value: cluster 0,
+        # already passed, would stay empty and its mean would be NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans_1d(np.array([0.0, 7.0, 8.0, 8.0, 8.0]), 3)
+        assert_array_equal(result.centers, [0.0, 7.0, 8.0])
+        assert_array_equal(result.assignments, [0, 1, 2, 2, 2])
 
 
 class TestSelectSamples:
@@ -243,6 +249,15 @@ class TestSelectSamples:
         intensity = IntensityMap(np.abs(rng.normal(size=(4, 4))))
         with pytest.raises(ValidationError, match=">= 1"):
             select_samples(x, y, intensity, count=0)
+
+    def test_five_pixel_scene_clusters_without_warning(self):
+        # The production path (k = 3) on the intensity of the k-means reseed case.
+        x = np.arange(10.0).reshape(5, 2)
+        intensity = IntensityMap(np.array([[0.0, 7.0, 8.0, 8.0, 8.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = select_samples(x, x + 1.0, intensity, count=1)
+        assert_array_equal(samples.indices, [0])
 
     def test_intensity_size_mismatch(self):
         rng = np.random.default_rng(73)

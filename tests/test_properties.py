@@ -1,7 +1,8 @@
 """Property tests for the scoring maths: AUC rank invariance, min-fusion dominance,
 and Diff-RX / SFA invariance under a band transform shared by both acquisitions;
-bit-exact round trips of the cube, mask and curve files; and the whole ACDA
-pipeline on tiny random pairs, which either gives a map or raises an AcdkitError.
+the postconditions of the scalar k-means; bit-exact round trips of the cube, mask
+and curve files; and the whole ACDA pipeline on tiny random pairs, which either
+gives a map or raises an AcdkitError.
 
 Hypothesis draws the inputs; `derandomize=True` makes every run draw the same
 examples, so a failure reproduces and CI stays deterministic.
@@ -30,7 +31,7 @@ from acdkit.core import (
 from acdkit.errors import AcdkitError
 from acdkit.evaluate import export_curve, roc
 from acdkit.neural import TrainConfig
-from acdkit.predetect import usfa_fit, usfa_intensity
+from acdkit.predetect import kmeans_1d, usfa_fit, usfa_intensity
 
 deterministic = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -135,10 +136,38 @@ def test_sfa_unchanged_under_shared_band_transform(case):
     moved_x, moved_y = x @ transform.T, y @ transform.T
     model = usfa_fit(x, y, ridge=0.0)
     moved_model = usfa_fit(moved_x, moved_y, ridge=0.0)
-    assert moved_model.n_components == model.n_components
+    assert moved_model.projection.shape == model.projection.shape
     base = usfa_intensity(model, x, y, shape).values
     moved = usfa_intensity(moved_model, moved_x, moved_y, shape).values
     _assert_close_maps(moved, base, 1e-9)
+
+
+# Near-ties and wide gaps, so quantile seeding often starts with an empty cluster.
+KMEANS_GRID = (0.0, 0.5, 3.0, 3.25, 7.0, 8.0, 20.0)
+
+
+@st.composite
+def kmeans_cases(draw):
+    """3-8 values from KMEANS_GRID, with repeats, and k in 1-4 with at least k distinct."""
+    values = draw(st.lists(st.sampled_from(KMEANS_GRID), min_size=3, max_size=8))
+    k = draw(st.integers(1, min(4, len(set(values)))))
+    return np.array(values), k
+
+
+@deterministic
+@given(case=kmeans_cases())
+def test_kmeans_postconditions(case):
+    values, k = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = kmeans_1d(values, k)
+    centers, assignments = result.centers, result.assignments
+    assert centers.shape == (k,) and np.all(np.isfinite(centers))
+    assert np.all(np.diff(centers) > 0)
+    assert assignments.shape == values.shape
+    assert np.array_equal(np.unique(assignments), np.arange(k))  # in range, none empty
+    distances = np.abs(values[:, np.newaxis] - centers)
+    assert np.all(distances[np.arange(values.size), assignments] == distances.min(axis=1))
 
 
 F32_MAX = float(np.finfo(np.float32).max)
