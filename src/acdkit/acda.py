@@ -14,19 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import HyperCube, IntensityMap, _check_cubes, _require_int, flatten
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .neural import (
     MlpParams,
     NetworkShape,
     SampleSet,
     TrainConfig,
     derived_seed,
-    forward_batch,
     train_lockstep,
 )
 from .predetect import default_sample_count, select_samples, usfa_fit, usfa_intensity
 
 _PREDICT_CHUNK = 65536
+_LOSS_BLOCK = 1024
 
 
 def default_shape(bands: int) -> NetworkShape:
@@ -92,24 +92,47 @@ class AcdaRun:
     training_losses: tuple[tuple[float, ...], tuple[float, ...]]
 
 
+def _predict_chunk(params: MlpParams, rows: np.ndarray) -> np.ndarray:
+    """Forward pass of one chunk that keeps only the current layer's activations."""
+    current = rows
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        current = current @ w.T
+        current += b
+        if i < last:
+            np.maximum(current, 0.0, out=current)
+    return current
+
+
 def predict_image(params: MlpParams, img: np.ndarray) -> np.ndarray:
-    """Row-wise forward pass over an (M, Q) pixel matrix, chunked for memory."""
+    """Row-wise forward pass over an (M, Q) pixel matrix, chunked for memory.
+
+    An image of at most `_PREDICT_CHUNK` rows is one chunk, returned as is;
+    a larger one is predicted chunk by chunk into one preallocated output.
+    """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[1] != params.input_dim:
         raise ValidationError(
             f"image shape {img.shape} does not match network input {params.input_dim}"
         )
-    blocks = []
+    if img.shape[0] <= _PREDICT_CHUNK:
+        return _predict_chunk(params, img)
+    out = np.empty((img.shape[0], params.output_dim))
     for start in range(0, img.shape[0], _PREDICT_CHUNK):
-        out, _ = forward_batch(params, img[start : start + _PREDICT_CHUNK])
-        blocks.append(out)
-    return np.concatenate(blocks, axis=0) if blocks else np.empty_like(img)
+        stop = start + _PREDICT_CHUNK
+        out[start:stop] = _predict_chunk(params, img[start:stop])
+    return out
 
 
 def loss_map(
     predicted: np.ndarray, expected: np.ndarray, shape: tuple[int, int]
 ) -> IntensityMap:
-    """Per-pixel mean squared error over bands, reshaped to (H, W)."""
+    """Per-pixel mean squared error over bands, reshaped to (H, W).
+
+    Rows are scored in blocks of `_LOSS_BLOCK` through one block-sized
+    buffer; each row's mean is the one a whole-matrix pass gives, bit for
+    bit. A non-finite loss raises NumericalError.
+    """
     predicted = np.asarray(predicted, dtype=np.float64)
     expected = np.asarray(expected, dtype=np.float64)
     if predicted.shape != expected.shape or predicted.ndim != 2:
@@ -117,9 +140,19 @@ def loss_map(
             f"matrices disagree: {predicted.shape} vs {expected.shape}"
         )
     height, width = int(shape[0]), int(shape[1])
-    if height * width != predicted.shape[0]:
-        raise ValidationError(f"shape {shape} does not cover {predicted.shape[0]} pixels")
-    per_pixel = np.mean((predicted - expected) ** 2, axis=1)
+    rows = predicted.shape[0]
+    if height * width != rows:
+        raise ValidationError(f"shape {shape} does not cover {rows} pixels")
+    per_pixel = np.empty(rows)
+    buffer = np.empty((min(rows, _LOSS_BLOCK), predicted.shape[1]))
+    for start in range(0, rows, _LOSS_BLOCK):
+        stop = min(start + _LOSS_BLOCK, rows)
+        block = buffer[: stop - start]
+        np.subtract(predicted[start:stop], expected[start:stop], out=block)
+        np.square(block, out=block)
+        np.mean(block, axis=1, out=per_pixel[start:stop])
+    if not np.all(np.isfinite(per_pixel)):
+        raise NumericalError("loss map contains NaN or Inf values")
     return IntensityMap(per_pixel.reshape(height, width))
 
 
@@ -161,7 +194,7 @@ def run_acda(
     map is the pixelwise average of the fused maps, accumulated in repeat
     order, so reruns are bit-identical. A predictor whose training loss
     turns non-finite raises NumericalError naming its repeat, direction and
-    epoch.
+    epoch, and one whose loss map does so names its repeat and direction.
     """
     _check_cubes(x_cube, y_cube)
     if samples is None:
@@ -172,20 +205,29 @@ def run_acda(
 
     # direction 0 maps block 0 (x) of the pool to block 1 (y), direction 1 the reverse
     nets = [(r, direction) for r in range(cfg.repeats) for direction in (0, 1)]
+    names = [f"repeat {r} {('fwd', 'bwd')[direction]} predictor" for r, direction in nets]
     trained = train_lockstep(
         cfg.resolved_shape(x_cube.bands),
         np.stack([samples.inputs, samples.labels]),
         [(direction, 1 - direction) for _, direction in nets],
         [derived_seed(cfg.base_seed + r, direction) for r, direction in nets],
         cfg.train,
-        [f"repeat {r} {('fwd', 'bwd')[direction]} predictor" for r, direction in nets],
+        names,
     )
+
+    def score(i: int, source: np.ndarray, target: np.ndarray) -> IntensityMap:
+        # Overflow shows up as a non-finite map, which names its net here.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return loss_map(predict_image(trained[i][0], source), target, plane)
+        except NumericalError as exc:
+            raise NumericalError(f"{names[i]}: {exc}") from exc
 
     runs = []
     for r in range(cfg.repeats):
         (params_fwd, hist_fwd), (params_bwd, hist_bwd) = trained[2 * r : 2 * r + 2]
-        map_fwd = loss_map(predict_image(params_fwd, x), y, plane)
-        map_bwd = loss_map(predict_image(params_bwd, y), x, plane)
+        map_fwd = score(2 * r, x, y)
+        map_bwd = score(2 * r + 1, y, x)
         runs.append(
             AcdaRun(
                 params_fwd=params_fwd,

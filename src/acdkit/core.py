@@ -5,9 +5,11 @@ and a raw little-endian float32 payload in band-sequential order (band 0's
 full H x W plane first). Ground-truth masks are binary PGM (P5). Intensity
 maps reuse the cube container with bands=1.
 
-All types are immutable after construction; loading rejects non-finite
-values outright because every downstream statistic silently corrupts on
-NaN/Inf.
+In memory a cube holds its values once, as the read-only float64 array that
+every detector computes in; each value is a float32 value, so the container
+round-trips bit for bit and `flatten` is a zero-copy view. All types are
+immutable after construction; loading rejects non-finite values outright
+because every downstream statistic silently corrupts on NaN/Inf.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ _HEADER_INTERLEAVE = "bsq"
 
 @dataclass(frozen=True)
 class HyperCube:
-    """An H x W x Q radiance cube stored as float32, shape (height, width, bands)."""
+    """An H x W x Q radiance cube, shape (height, width, bands).
+
+    `data` is a read-only, C-contiguous float64 array of float32 values: the
+    constructor rounds its input through float32 (float32 input is copied
+    exactly), so the cube holds what its float32 container file holds.
+    """
 
     data: np.ndarray
 
@@ -36,9 +43,10 @@ class HyperCube:
             raise ValidationError(f"cube data must be 3-D (H, W, Q), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError(f"cube dimensions must all be >= 1, got {arr.shape}")
-        arr = np.ascontiguousarray(arr, dtype=np.float32)
+        arr = arr.astype(np.float32, copy=False).astype(np.float64, order="C")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("cube contains NaN or Inf values")
+        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -98,12 +106,12 @@ class IntensityMap:
 def flatten(cube: HyperCube) -> np.ndarray:
     """Return the M x Q pixel matrix of `cube` in row-major spatial order.
 
-    Row (r * W + c) is the spectrum at (r, c). Values are promoted to
-    float64 so downstream statistics and training run in full precision;
-    a cast back to float32 restores the cube's values exactly.
+    Row (r * W + c) is the spectrum at (r, c). The matrix is a zero-copy,
+    read-only float64 view of `cube.data`; a cast to float32 restores the
+    container's values exactly.
     """
     h, w, q = cube.shape
-    return cube.data.reshape(h * w, q).astype(np.float64)
+    return cube.data.reshape(h * w, q)
 
 
 def _is_int(value) -> bool:
@@ -215,7 +223,7 @@ def read_cube(path) -> HyperCube:
     values = np.frombuffer(payload, dtype="<f4").reshape(q, h, w)
     if not np.all(np.isfinite(values)):
         raise DataIOError(f"raw payload {raw_path} contains NaN or Inf values")
-    return HyperCube(np.ascontiguousarray(values.transpose(1, 2, 0)))
+    return HyperCube(values.transpose(1, 2, 0))
 
 
 def write_cube(cube: HyperCube, path) -> None:
@@ -230,7 +238,7 @@ def write_cube(cube: HyperCube, path) -> None:
         "interleave": _HEADER_INTERLEAVE,
         "raw": raw_name,
     }
-    payload = np.ascontiguousarray(cube.data.transpose(2, 0, 1)).astype("<f4").tobytes()
+    payload = cube.data.transpose(2, 0, 1).astype("<f4", order="C")
     try:
         header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
         _raw_path(header_path, raw_name).write_bytes(payload)
@@ -250,14 +258,14 @@ def map_to_cube(imap: IntensityMap) -> HyperCube:
         raise NumericalError(
             f"intensity map peak {peak:.6g} exceeds the float32 limit {limit:.6g} of the map file"
         )
-    return HyperCube(imap.values[:, :, np.newaxis].astype(np.float32))
+    return HyperCube(imap.values[:, :, np.newaxis])
 
 
 def cube_to_map(cube: HyperCube) -> IntensityMap:
     """Interpret a 1-band cube as an intensity map."""
     if cube.bands != 1:
         raise ValidationError(f"expected a 1-band cube for an intensity map, got {cube.bands}")
-    return IntensityMap(cube.data[:, :, 0].astype(np.float64))
+    return IntensityMap(cube.data[:, :, 0].copy())
 
 
 def _pgm_tokens(payload: bytes):

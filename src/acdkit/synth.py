@@ -335,13 +335,9 @@ def generate(spec: SceneSpec) -> tuple[HyperCube, HyperCube, GroundTruthMask]:
         labels[window] = 1
 
     noise_shape = (spec.height, spec.width, spec.bands)
-    x_noisy = x_clean + spec.noise_sigma * rng.standard_normal(noise_shape)
-    y_noisy = y_clean + spec.noise_sigma * rng.standard_normal(noise_shape)
-    return (
-        HyperCube(x_noisy.astype(np.float32)),
-        HyperCube(y_noisy.astype(np.float32)),
-        GroundTruthMask(labels),
-    )
+    x_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
+    y_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
+    return HyperCube(x_clean), HyperCube(y_clean), GroundTruthMask(labels)
 
 
 def describe(spec: SceneSpec) -> str:

@@ -1,11 +1,15 @@
 """Dual-predictor pipeline: training, prediction, loss maps, fusion, repeats."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from acdkit.acda import (
     AcdaConfig,
+    _predict_chunk,
     default_shape,
     fuse_min,
     loss_map,
@@ -136,12 +140,12 @@ class TestPredictImage:
         whole = predict_image(params, img)
         rows = []
 
-        def counting_forward(p, x):
+        def counting_chunk(p, x):
             rows.append(x.shape[0])
-            return forward_batch(p, x)
+            return _predict_chunk(p, x)
 
         monkeypatch.setattr("acdkit.acda._PREDICT_CHUNK", 7)
-        monkeypatch.setattr("acdkit.acda.forward_batch", counting_forward)
+        monkeypatch.setattr("acdkit.acda._predict_chunk", counting_chunk)
         chunked = predict_image(params, img)
         assert rows == [7, 7, 7, 7, 2]
         assert chunked.shape == whole.shape
@@ -174,6 +178,15 @@ class TestLossMap:
     def test_matrix_mismatch(self):
         with pytest.raises(ValidationError, match="disagree"):
             loss_map(np.ones((10, 2)), np.ones((10, 3)), (2, 5))
+
+    def test_row_blocks_match_one_whole_matrix_pass(self, monkeypatch):
+        # 30 rows in blocks of 7 end on a short block of 2.
+        rng = np.random.default_rng(37)
+        predicted = rng.normal(size=(30, 5))
+        expected = rng.normal(size=(30, 5))
+        monkeypatch.setattr("acdkit.acda._LOSS_BLOCK", 7)
+        values = loss_map(predicted, expected, (5, 6)).values.ravel()
+        assert values.tobytes() == np.mean((predicted - expected) ** 2, axis=1).tobytes()
 
 
 class TestFuseMin:
@@ -384,6 +397,70 @@ class TestRunAcda:
         y = HyperCube(np.ones((4, 5, 3), dtype=np.float32))
         with pytest.raises(ValidationError, match="disagree"):
             run_acda(x, y, _run_cfg())
+
+    def test_non_finite_loss_map_names_its_net(self, monkeypatch):
+        # Weights scaled by 1e80 overflow the prediction; the run must fail
+        # with a NumericalError (exit 3), not a NumPy warning or a ValidationError.
+        def overflowing(*args):
+            return [
+                (MlpParams([w * 1e80 for w in params.weights], params.biases), history)
+                for params, history in train_lockstep(*args)
+            ]
+
+        monkeypatch.setattr("acdkit.acda.train_lockstep", overflowing)
+        x, y, _ = generate(_scene(seed=7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="repeat 0 fwd predictor"):
+                run_acda(x, y, _run_cfg(epochs=2))
+
+
+def _peak_in_pixel_matrices(fn, cube) -> float:
+    """tracemalloc peak of `fn()`, in units of one float64 pixel matrix of `cube`."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (cube.height * cube.width * cube.bands * 8)
+
+
+class TestPeakMemory:
+    """Scoring and pre-detection work on views of the cubes, not float64 copies.
+
+    On this scene the peaks measure about 2.1 (the run, set by
+    pre-detection), 2.1 (pre-detection) and 1.5 (scoring one net) pixel
+    matrices; a float64 copy of both cubes adds 2, and scoring that keeps
+    every layer, concatenates or squares whole-matrix differences reaches 2
+    or more.
+    """
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return generate(
+            SceneSpec(height=64, width=64, bands=16, n_endmembers=6, condition="nonlinear",
+                      condition_strength=0.8, noise_sigma=0.01, seed=11)
+        )
+
+    def test_run_acda_peak_is_at_most_three_pixel_matrices(self, scene):
+        x, y, _ = scene
+        cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
+        assert _peak_in_pixel_matrices(lambda: run_acda(x, y, cfg), x) <= 3.0
+
+    def test_prepare_samples_peak_is_at_most_three_pixel_matrices(self, scene):
+        x, y, _ = scene
+        cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
+        assert _peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 3.0
+
+    def test_scoring_peak_is_below_two_pixel_matrices(self, scene):
+        # The prediction is one pixel matrix; the narrower layer before it, or
+        # the loss map's row block, must stay below a second one.
+        x, y, _ = scene
+        params = init_params(default_shape(x.bands), seed=3)
+        fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
+        peak = _peak_in_pixel_matrices(lambda: loss_map(predict_image(params, fx), fy, plane), x)
+        assert peak < 2.0
 
 
 class TestPrepareSamples:

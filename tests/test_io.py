@@ -150,6 +150,10 @@ class TestFlatten:
         for r, c in ((0, 0), (1, 4), (3, 5), (2, 2)):
             assert_array_equal(matrix[r * 6 + c], cube.data[r, c].astype(np.float64))
 
+    def test_is_a_view_of_the_cube(self):
+        cube = HyperCube(np.ones((3, 4, 2), dtype=np.float32))
+        assert np.shares_memory(flatten(cube), cube.data)
+
 
 class TestReadMask:
     def _write_pgm(self, path, width, height, data, maxval=255):
@@ -206,6 +210,11 @@ class TestTypeValidation:
         data[0, 0, 0] = np.inf
         with pytest.raises(ValidationError, match="NaN or Inf"):
             HyperCube(data)
+
+    def test_cube_data_is_read_only(self):
+        cube = HyperCube(np.ones((2, 2, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="read-only"):
+            cube.data[0, 0, 0] = 2.0
 
     def test_mask_requires_background(self):
         with pytest.raises(ValidationError, match="background"):
