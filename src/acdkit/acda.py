@@ -9,6 +9,8 @@ to stabilize it.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +27,7 @@ from .neural import (
 )
 from .predetect import default_sample_count, select_samples, usfa_fit, usfa_intensity
 
-_PREDICT_CHUNK = 65536
-_LOSS_BLOCK = 1024
+_BLOCK = 1024
 
 
 def default_shape(bands: int) -> NetworkShape:
@@ -92,9 +93,17 @@ class AcdaRun:
     training_losses: tuple[tuple[float, ...], tuple[float, ...]]
 
 
-def _predict_chunk(params: MlpParams, rows: np.ndarray) -> np.ndarray:
-    """Forward pass of one chunk that keeps only the current layer's activations."""
-    current = rows
+def predict_image(params: MlpParams, rows: np.ndarray) -> np.ndarray:
+    """Row-wise forward pass over an (M, Q) pixel matrix.
+
+    Only the current layer's activations are held; `loss_map` calls this on
+    one row block at a time.
+    """
+    current = np.asarray(rows, dtype=np.float64)
+    if current.ndim != 2 or current.shape[1] != params.input_dim:
+        raise ValidationError(
+            f"image shape {current.shape} does not match network input {params.input_dim}"
+        )
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         current = current @ w.T
@@ -104,53 +113,41 @@ def _predict_chunk(params: MlpParams, rows: np.ndarray) -> np.ndarray:
     return current
 
 
-def predict_image(params: MlpParams, img: np.ndarray) -> np.ndarray:
-    """Row-wise forward pass over an (M, Q) pixel matrix, chunked for memory.
-
-    An image of at most `_PREDICT_CHUNK` rows is one chunk, returned as is;
-    a larger one is predicted chunk by chunk into one preallocated output.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2 or img.shape[1] != params.input_dim:
-        raise ValidationError(
-            f"image shape {img.shape} does not match network input {params.input_dim}"
-        )
-    if img.shape[0] <= _PREDICT_CHUNK:
-        return _predict_chunk(params, img)
-    out = np.empty((img.shape[0], params.output_dim))
-    for start in range(0, img.shape[0], _PREDICT_CHUNK):
-        stop = start + _PREDICT_CHUNK
-        out[start:stop] = _predict_chunk(params, img[start:stop])
-    return out
-
-
 def loss_map(
-    predicted: np.ndarray, expected: np.ndarray, shape: tuple[int, int]
+    predict: Callable[[np.ndarray], np.ndarray],
+    source: np.ndarray,
+    target: np.ndarray,
+    shape: tuple[int, int],
 ) -> IntensityMap:
-    """Per-pixel mean squared error over bands, reshaped to (H, W).
+    """Per-pixel mean squared error over bands of predict(source) against target, as (H, W).
 
-    Rows are scored in blocks of `_LOSS_BLOCK` through one block-sized
-    buffer; each row's mean is the one a whole-matrix pass gives, bit for
-    bit. A non-finite loss raises NumericalError.
+    Rows are predicted and scored `_BLOCK` at a time; the last block also
+    takes a remainder shorter than `_BLOCK`, so no BLAS call sees a short
+    block and each row's loss is the one a whole-matrix pass gives, bit for
+    bit. `predict` maps a (rows, Q) block to a new (rows, Q) array, which is
+    overwritten. A non-finite loss raises NumericalError.
     """
-    predicted = np.asarray(predicted, dtype=np.float64)
-    expected = np.asarray(expected, dtype=np.float64)
-    if predicted.shape != expected.shape or predicted.ndim != 2:
-        raise ValidationError(
-            f"matrices disagree: {predicted.shape} vs {expected.shape}"
-        )
+    source = np.asarray(source, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if source.shape != target.shape or source.ndim != 2:
+        raise ValidationError(f"matrices disagree: {source.shape} vs {target.shape}")
     height, width = int(shape[0]), int(shape[1])
-    rows = predicted.shape[0]
+    rows = source.shape[0]
     if height * width != rows:
         raise ValidationError(f"shape {shape} does not cover {rows} pixels")
     per_pixel = np.empty(rows)
-    buffer = np.empty((min(rows, _LOSS_BLOCK), predicted.shape[1]))
-    for start in range(0, rows, _LOSS_BLOCK):
-        stop = min(start + _LOSS_BLOCK, rows)
-        block = buffer[: stop - start]
-        np.subtract(predicted[start:stop], expected[start:stop], out=block)
+    start = 0
+    while start < rows:
+        stop = start + _BLOCK if rows - start >= 2 * _BLOCK else rows
+        block = predict(source[start:stop])
+        if block.shape != (stop - start, target.shape[1]):
+            raise ValidationError(
+                f"matrices disagree: prediction {block.shape} vs {target[start:stop].shape}"
+            )
+        block -= target[start:stop]
         np.square(block, out=block)
         np.mean(block, axis=1, out=per_pixel[start:stop])
+        start = stop
     if not np.all(np.isfinite(per_pixel)):
         raise NumericalError("loss map contains NaN or Inf values")
     return IntensityMap(per_pixel.reshape(height, width))
@@ -217,9 +214,10 @@ def run_acda(
 
     def score(i: int, source: np.ndarray, target: np.ndarray) -> IntensityMap:
         # Overflow shows up as a non-finite map, which names its net here.
+        predict = functools.partial(predict_image, trained[i][0])
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return loss_map(predict_image(trained[i][0], source), target, plane)
+                return loss_map(predict, source, target, plane)
         except NumericalError as exc:
             raise NumericalError(f"{names[i]}: {exc}") from exc
 

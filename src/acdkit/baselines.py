@@ -69,11 +69,11 @@ def diff_rx(
         raise ValidationError(f"shape {shape} does not cover {x.shape[0]} pixels")
     diff = x - y
     stats = mean_cov(diff)
-    centered = diff - stats.mean
-    if not np.any(centered):
+    diff -= stats.mean
+    if not np.any(diff):
         return IntensityMap(np.zeros((height, width)))
-    solved = solve_spd(stats.cov, centered.T, ridge)
-    scores = np.einsum("ij,ji->i", centered, solved)
+    solved = solve_spd(stats.cov, diff.T, ridge)
+    scores = np.einsum("ij,ji->i", diff, solved)
     return IntensityMap(np.maximum(scores, 0.0).reshape(height, width))
 
 
@@ -100,17 +100,6 @@ def fit_ce(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPr
     return LinearPredictor(gain, stats_x.mean, stats_y.mean)
 
 
-def baseline_map(
-    pred: LinearPredictor,
-    x: np.ndarray,
-    y: np.ndarray,
-    shape: tuple[int, int],
-) -> IntensityMap:
-    """Per-pixel MSE between pred(x) and y — the same scoring rule as loss_map."""
-    x, y = _check_pair(x, y)
-    return loss_map(pred.predict(x), y, shape)
-
-
 def run_baseline(
     kind: str,
     x_cube: HyperCube,
@@ -125,6 +114,6 @@ def run_baseline(
     y = flatten(y_cube)
     plane = (x_cube.height, x_cube.width)
     fit = fit_cc if kind == "cc" else fit_ce
-    forward = baseline_map(fit(x, y, ridge), x, y, plane)
-    backward = baseline_map(fit(y, x, ridge), y, x, plane)
+    forward = loss_map(fit(x, y, ridge).predict, x, y, plane)
+    backward = loss_map(fit(y, x, ridge).predict, y, x, plane)
     return fuse_min(forward, backward)

@@ -32,7 +32,9 @@ class HyperCube:
 
     `data` is a read-only, C-contiguous float64 array of float32 values: the
     constructor rounds its input through float32 (float32 input is copied
-    exactly), so the cube holds what its float32 container file holds.
+    exactly), so the cube holds what its float32 container file holds. NaN
+    or Inf input raises ValidationError; a finite value beyond the float32
+    range raises NumericalError.
     """
 
     data: np.ndarray
@@ -43,11 +45,18 @@ class HyperCube:
             raise ValidationError(f"cube data must be 3-D (H, W, Q), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError(f"cube dimensions must all be >= 1, got {arr.shape}")
-        arr = arr.astype(np.float32, copy=False).astype(np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("cube contains NaN or Inf values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        with np.errstate(over="ignore"):
+            values = arr.astype(np.float32, copy=False).astype(np.float64, order="C")
+        if not np.all(np.isfinite(values)):
+            # Only a failed check looks at the input again: NaN/Inf there is
+            # bad data, a finite value beyond float32 is an overflow.
+            peak = float(np.max(np.abs(arr)))
+            if not np.isfinite(peak):
+                raise ValidationError("cube contains NaN or Inf values")
+            limit = float(np.finfo(np.float32).max)
+            raise NumericalError(f"cube peak {peak:.6g} exceeds the float32 limit {limit:.6g}")
+        values.flags.writeable = False
+        object.__setattr__(self, "data", values)
 
     @property
     def height(self) -> int:
@@ -249,15 +258,8 @@ def write_cube(cube: HyperCube, path) -> None:
 def map_to_cube(imap: IntensityMap) -> HyperCube:
     """View an intensity map as a 1-band cube for container export.
 
-    A peak above the float32 maximum would overflow the container, so it
-    raises NumericalError instead.
+    A peak above the float32 maximum raises NumericalError, as for any cube.
     """
-    limit = float(np.finfo(np.float32).max)
-    peak = float(imap.values.max(initial=0.0))
-    if peak > limit:
-        raise NumericalError(
-            f"intensity map peak {peak:.6g} exceeds the float32 limit {limit:.6g} of the map file"
-        )
     return HyperCube(imap.values[:, :, np.newaxis])
 
 

@@ -161,7 +161,9 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray, ridge: float | None = None) -> np.
         raise NumericalError(f"SPD solve failed after ridge {ridge_val:.3e}: {exc}") from exc
     if not np.all(np.isfinite(solution)):
         raise NumericalError(f"SPD solve produced non-finite values (ridge {ridge_val:.3e})")
-    residual = np.linalg.norm(system @ solution - rhs_arr)
+    check = system @ solution
+    check -= rhs_arr
+    residual = np.linalg.norm(check)
     rhs_norm = np.linalg.norm(rhs_arr)
     if rhs_norm > 0 and residual > 1e-8 * rhs_norm:
         raise NumericalError(

@@ -1,5 +1,6 @@
 """Dual-predictor pipeline: training, prediction, loss maps, fusion, repeats."""
 
+import functools
 import tracemalloc
 import warnings
 
@@ -9,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from acdkit.acda import (
     AcdaConfig,
-    _predict_chunk,
     default_shape,
     fuse_min,
     loss_map,
@@ -17,6 +17,7 @@ from acdkit.acda import (
     prepare_samples,
     run_acda,
 )
+from acdkit.baselines import diff_rx, fit_cc
 from acdkit.core import HyperCube, IntensityMap, flatten
 from acdkit.errors import NumericalError, ValidationError
 from acdkit.neural import (
@@ -131,23 +132,24 @@ class TestPredictImage:
             predict_image(params, np.ones((10, 5)))
 
     def test_chunked_prediction_matches_one_chunk(self, monkeypatch):
-        # Images above _PREDICT_CHUNK rows (any paper-size scene) are split;
-        # 30 rows in chunks of 7 end on a short chunk of 2. BLAS may pick
-        # another kernel for a short block, so the low bits may move.
+        # loss_map feeds predict_image row blocks of _BLOCK; 30 rows in blocks
+        # of 7 end on a last block that takes the remainder, 9 rows. BLAS may
+        # pick another kernel for another block size, so the low bits may move.
         rng = np.random.default_rng(31)
         params = init_params(NetworkShape.bottleneck(16, 8, 5), seed=11)
         img = rng.uniform(0.0, 1.0, size=(30, 16))
         whole = predict_image(params, img)
-        rows = []
+        blocks = []
 
-        def counting_chunk(p, x):
-            rows.append(x.shape[0])
-            return _predict_chunk(p, x)
+        def recording(x):
+            out = predict_image(params, x)
+            blocks.append(out.copy())
+            return out
 
-        monkeypatch.setattr("acdkit.acda._PREDICT_CHUNK", 7)
-        monkeypatch.setattr("acdkit.acda._predict_chunk", counting_chunk)
-        chunked = predict_image(params, img)
-        assert rows == [7, 7, 7, 7, 2]
+        monkeypatch.setattr("acdkit.acda._BLOCK", 7)
+        loss_map(recording, img, img, (5, 6))
+        assert [b.shape[0] for b in blocks] == [7, 7, 7, 9]
+        chunked = np.concatenate(blocks)
         assert chunked.shape == whole.shape
         assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
@@ -156,37 +158,64 @@ class TestLossMap:
     def test_perfect_prediction_scores_zero(self):
         rng = np.random.default_rng(17)
         m = rng.normal(size=(20, 3))
-        assert_array_equal(loss_map(m, m.copy(), (4, 5)).values, np.zeros((4, 5)))
+        assert_array_equal(loss_map(np.copy, m, m.copy(), (4, 5)).values, np.zeros((4, 5)))
 
     def test_two_band_arithmetic(self):
-        out = loss_map(np.array([[1.0, 2.0]]), np.array([[1.0, 4.0]]), (1, 1))
+        out = loss_map(np.copy, np.array([[1.0, 2.0]]), np.array([[1.0, 4.0]]), (1, 1))
         assert out.values[0, 0] == pytest.approx(2.0)  # ((0)^2 + (2)^2) / 2
 
     def test_matches_per_pixel_loop(self):
         rng = np.random.default_rng(19)
         predicted = rng.normal(size=(64, 4))
         expected = rng.normal(size=(64, 4))
-        values = loss_map(predicted, expected, (8, 8)).values.ravel()
+        values = loss_map(np.copy, predicted, expected, (8, 8)).values.ravel()
         for i in range(64):
             direct = sum((predicted[i, b] - expected[i, b]) ** 2 for b in range(4)) / 4.0
             assert values[i] == pytest.approx(direct, rel=1e-12)
 
     def test_shape_coverage_mismatch(self):
         with pytest.raises(ValidationError, match="cover"):
-            loss_map(np.ones((10, 2)), np.ones((10, 2)), (3, 3))
+            loss_map(np.copy, np.ones((10, 2)), np.ones((10, 2)), (3, 3))
 
     def test_matrix_mismatch(self):
         with pytest.raises(ValidationError, match="disagree"):
-            loss_map(np.ones((10, 2)), np.ones((10, 3)), (2, 5))
+            loss_map(np.copy, np.ones((10, 2)), np.ones((10, 3)), (2, 5))
+
+    def test_prediction_width_mismatch(self):
+        params = init_params(NetworkShape(3, (4,), 2), seed=1)
+        with pytest.raises(ValidationError, match="disagree"):
+            loss_map(functools.partial(predict_image, params), np.ones((10, 3)),
+                     np.ones((10, 3)), (2, 5))
 
     def test_row_blocks_match_one_whole_matrix_pass(self, monkeypatch):
-        # 30 rows in blocks of 7 end on a short block of 2.
+        # 30 rows in blocks of 7: the last block takes the remainder, 9 rows.
         rng = np.random.default_rng(37)
-        predicted = rng.normal(size=(30, 5))
-        expected = rng.normal(size=(30, 5))
-        monkeypatch.setattr("acdkit.acda._LOSS_BLOCK", 7)
-        values = loss_map(predicted, expected, (5, 6)).values.ravel()
-        assert values.tobytes() == np.mean((predicted - expected) ** 2, axis=1).tobytes()
+        x = rng.uniform(0.0, 1.0, size=(30, 16))
+        y = rng.uniform(0.0, 1.0, size=(30, 16))
+        net = functools.partial(predict_image, init_params(NetworkShape.bottleneck(16, 8, 5), seed=11))
+        linear = fit_cc(x, y).predict
+        monkeypatch.setattr("acdkit.acda._BLOCK", 7)
+        for predict in (net, linear):
+            rows = []
+
+            def counting(block, predict=predict):
+                rows.append(block.shape[0])
+                return predict(block)
+
+            values = loss_map(counting, x, y, (5, 6)).values.ravel()
+            assert rows == [7, 7, 7, 9]
+            assert values.tobytes() == np.mean((predict(x) - y) ** 2, axis=1).tobytes()
+
+    def test_short_remainder_joins_the_last_block(self):
+        # 2049 rows would end on a 1-row block, which BLAS computes with
+        # another kernel (the low bits move); folded into the block before,
+        # the map equals a whole-matrix pass bit for bit.
+        rng = np.random.default_rng(41)
+        x = rng.uniform(0.0, 1.0, size=(2049, 40))
+        y = rng.uniform(0.0, 1.0, size=(2049, 40))
+        predict = functools.partial(predict_image, init_params(default_shape(40), seed=5))
+        values = loss_map(predict, x, y, (3, 683)).values.ravel()
+        assert values.tobytes() == np.mean((predict(x) - y) ** 2, axis=1).tobytes()
 
 
 class TestFuseMin:
@@ -388,8 +417,9 @@ class TestRunAcda:
         x = rng.normal(size=(64, 6))
         y = rng.normal(size=(64, 6))
         perm = rng.permutation(64)
-        base = loss_map(predict_image(params, x), y, (8, 8)).values.ravel()
-        permuted = loss_map(predict_image(params, x[perm]), y[perm], (8, 8)).values.ravel()
+        predict = functools.partial(predict_image, params)
+        base = loss_map(predict, x, y, (8, 8)).values.ravel()
+        permuted = loss_map(predict, x[perm], y[perm], (8, 8)).values.ravel()
         assert_allclose(permuted, base[perm], rtol=1e-13)
 
     def test_cube_shape_mismatch(self):
@@ -429,17 +459,25 @@ def _peak_in_pixel_matrices(fn, cube) -> float:
 class TestPeakMemory:
     """Scoring and pre-detection work on views of the cubes, not float64 copies.
 
-    On this scene the peaks measure about 2.1 (the run, set by
-    pre-detection), 2.1 (pre-detection) and 1.5 (scoring one net) pixel
-    matrices; a float64 copy of both cubes adds 2, and scoring that keeps
-    every layer, concatenates or squares whole-matrix differences reaches 2
-    or more.
+    On the 64 x 64 x 16 scene the peaks measure about 2.1 (the run, set by
+    pre-detection), 2.1 (pre-detection), 0.7 (scoring one net) and 3.1
+    (Diff-RX) pixel matrices; a float64 copy of both cubes adds 2, and
+    scoring that predicts the whole image first reaches 1 or more. On the
+    128 x 128 x 16 scene a 1024-row block is 1/16 of the image, and scoring
+    one net or one CC direction measures about 0.2 and 0.3.
     """
 
     @pytest.fixture(scope="class")
     def scene(self):
         return generate(
             SceneSpec(height=64, width=64, bands=16, n_endmembers=6, condition="nonlinear",
+                      condition_strength=0.8, noise_sigma=0.01, seed=11)
+        )
+
+    @pytest.fixture(scope="class")
+    def large_scene(self):
+        return generate(
+            SceneSpec(height=128, width=128, bands=16, n_endmembers=6, condition="nonlinear",
                       condition_strength=0.8, noise_sigma=0.01, seed=11)
         )
 
@@ -454,13 +492,26 @@ class TestPeakMemory:
         assert _peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 3.0
 
     def test_scoring_peak_is_below_two_pixel_matrices(self, scene):
-        # The prediction is one pixel matrix; the narrower layer before it, or
-        # the loss map's row block, must stay below a second one.
         x, y, _ = scene
-        params = init_params(default_shape(x.bands), seed=3)
+        predict = functools.partial(predict_image, init_params(default_shape(x.bands), seed=3))
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
-        peak = _peak_in_pixel_matrices(lambda: loss_map(predict_image(params, fx), fy, plane), x)
-        assert peak < 2.0
+        assert _peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 2.0
+
+    def test_scoring_holds_row_blocks_not_pixel_matrices(self, large_scene):
+        # Predicting the whole image first would hold at least one pixel matrix.
+        x, y, _ = large_scene
+        fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
+        net = functools.partial(predict_image, init_params(default_shape(x.bands), seed=3))
+        cc = fit_cc(fx, fy).predict
+        for predict in (net, cc):
+            assert _peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 0.5
+
+    def test_diff_rx_peak_is_below_three_and_a_half_pixel_matrices(self, scene):
+        # The difference, the solver's copy of it, the solution and the
+        # residual check; a second centered copy of the difference adds one.
+        x, y, _ = scene
+        fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
+        assert _peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 3.5
 
 
 class TestPrepareSamples:

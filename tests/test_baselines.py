@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from acdkit.acda import loss_map
 from acdkit.baselines import (
     LinearPredictor,
-    baseline_map,
     diff_rx,
     fit_cc,
     fit_ce,
@@ -158,15 +157,14 @@ class TestBaselineMap:
         rng = np.random.default_rng(43)
         x = rng.normal(size=(30, 3))
         pred = LinearPredictor(np.eye(3), np.zeros(3), np.zeros(3))
-        assert_array_equal(baseline_map(pred, x, x.copy(), (5, 6)).values, np.zeros((5, 6)))
+        assert_array_equal(loss_map(pred.predict, x, x.copy(), (5, 6)).values, np.zeros((5, 6)))
 
     def test_matches_shared_scoring_rule_exactly(self):
         rng = np.random.default_rng(47)
         x, y = _correlated_pair(rng, 64, 4)
         pred = fit_cc(x, y)
-        via_baseline = baseline_map(pred, x, y, (8, 8)).values
-        via_loss_map = loss_map(pred.predict(x), y, (8, 8)).values
-        assert_array_equal(via_baseline, via_loss_map)
+        via_loss_map = loss_map(pred.predict, x, y, (8, 8)).values
+        assert_array_equal(via_loss_map.ravel(), np.mean((pred.predict(x) - y) ** 2, axis=1))
 
 
 class TestRunBaseline:
@@ -193,8 +191,8 @@ class TestRunBaseline:
         x, y = flatten(x_cube), flatten(y_cube)
         for kind, fit in (("cc", fit_cc), ("ce", fit_ce)):
             fused = run_baseline(kind, x_cube, y_cube).values
-            forward = baseline_map(fit(x, y), x, y, (8, 8)).values
-            backward = baseline_map(fit(y, x), y, x, (8, 8)).values
+            forward = loss_map(fit(x, y).predict, x, y, (8, 8)).values
+            backward = loss_map(fit(y, x).predict, y, x, (8, 8)).values
             assert np.all(fused <= forward)
             assert np.all(fused <= backward)
             assert_array_equal(fused, np.minimum(forward, backward))

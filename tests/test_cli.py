@@ -161,6 +161,19 @@ class TestSynth:
             assert field in lines[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override", [{"condition": "affine", "condition_strength": 1e39},
+                                          {"noise_sigma": 1e39}], ids=["strength", "noise"])
+    def test_radiance_beyond_float32_is_numerical_error(self, tmp_path, capsys, override):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 8, "width": 8, "bands": 4, "seed": 1, **override}),
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", str(spec), "--out", str(tmp_path / "o")]) == 3
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: cube peak")
+        assert not (tmp_path / "o").exists()
+
     def test_undecodable_spec_is_one_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"height": \xff}')
@@ -649,7 +662,7 @@ class TestDispatch:
         assert code == 3
         lines = _error_lines(capsys)
         assert len(lines) == 1
-        assert lines[0].startswith("error: intensity map peak")
+        assert lines[0].startswith("error: cube peak")
         assert "float32 limit" in lines[0]
 
     def test_unknown_method_rejected_by_parser(self, ws, tmp_path):

@@ -211,6 +211,18 @@ class TestTypeValidation:
         with pytest.raises(ValidationError, match="NaN or Inf"):
             HyperCube(data)
 
+    def test_cube_beyond_float32_is_numerical_error(self):
+        # Finite float64 input that overflows the float32 rounding is an
+        # overflow (exit 3), not bad data; with warnings as errors, the
+        # cast itself must stay silent.
+        data = np.ones((2, 2, 2))
+        data[1, 0, 1] = -1e39
+        with pytest.raises(NumericalError, match=r"cube peak 1e\+39 exceeds the float32 limit"):
+            HyperCube(data)
+        data[0, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            HyperCube(data)
+
     def test_cube_data_is_read_only(self):
         cube = HyperCube(np.ones((2, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="read-only"):
