@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HyperCube, IntensityMap, _check_cubes, _require_int, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _require_int, _row_blocks, flatten
 from .errors import NumericalError, ValidationError
 from .neural import (
     MlpParams,
@@ -26,8 +26,6 @@ from .neural import (
     train_lockstep,
 )
 from .predetect import default_sample_count, select_samples, usfa_fit, usfa_intensity
-
-_BLOCK = 1024
 
 
 def default_shape(bands: int) -> NetworkShape:
@@ -121,10 +119,9 @@ def loss_map(
 ) -> IntensityMap:
     """Per-pixel mean squared error over bands of predict(source) against target, as (H, W).
 
-    Rows are predicted and scored `_BLOCK` at a time; the last block also
-    takes a remainder shorter than `_BLOCK`, so no BLAS call sees a short
-    block and each row's loss is the one a whole-matrix pass gives, bit for
-    bit. `predict` maps a (rows, Q) block to a new (rows, Q) array, which is
+    Rows are predicted and scored one `core._row_blocks` block at a time,
+    so each row's loss is the one a whole-matrix pass gives, bit for bit.
+    `predict` maps a (rows, Q) block to a new (rows, Q) array, which is
     overwritten. A non-finite loss raises NumericalError.
     """
     source = np.asarray(source, dtype=np.float64)
@@ -136,18 +133,15 @@ def loss_map(
     if height * width != rows:
         raise ValidationError(f"shape {shape} does not cover {rows} pixels")
     per_pixel = np.empty(rows)
-    start = 0
-    while start < rows:
-        stop = start + _BLOCK if rows - start >= 2 * _BLOCK else rows
-        block = predict(source[start:stop])
-        if block.shape != (stop - start, target.shape[1]):
+    for part in _row_blocks(rows):
+        block = predict(source[part])
+        if block.shape != target[part].shape:
             raise ValidationError(
-                f"matrices disagree: prediction {block.shape} vs {target[start:stop].shape}"
+                f"matrices disagree: prediction {block.shape} vs {target[part].shape}"
             )
-        block -= target[start:stop]
+        block -= target[part]
         np.square(block, out=block)
-        np.mean(block, axis=1, out=per_pixel[start:stop])
-        start = stop
+        np.mean(block, axis=1, out=per_pixel[part])
     if not np.all(np.isfinite(per_pixel)):
         raise NumericalError("loss map contains NaN or Inf values")
     return IntensityMap(per_pixel.reshape(height, width))

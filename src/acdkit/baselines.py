@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acda import fuse_min, loss_map
-from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, _row_blocks, flatten
 from .errors import ValidationError
-from .linalg import inv_sqrt, mean_cov, solve_spd, sym_sqrt
+from .linalg import _center_in_place, inv_sqrt, mean_cov, solve_spd, sym_sqrt
 
 BASELINE_KINDS = ("cc", "ce")
 
@@ -61,28 +61,33 @@ def diff_rx(
 
     score_i = (d_i - mu_d)^T (cov_d + ridge I)^{-1} (d_i - mu_d) with
     d = x - y. Identical inputs (or inputs differing by a constant vector)
-    score exactly zero.
+    score exactly zero. The centered difference is solved and scored one
+    `core._row_blocks` block at a time, and each block must pass
+    `solve_spd`'s residual check.
     """
     x, y = _check_pair(x, y)
     height, width = int(shape[0]), int(shape[1])
     if height * width != x.shape[0]:
         raise ValidationError(f"shape {shape} does not cover {x.shape[0]} pixels")
     diff = x - y
-    stats = mean_cov(diff)
-    diff -= stats.mean
+    cov = _center_in_place(diff).cov
     if not np.any(diff):
         return IntensityMap(np.zeros((height, width)))
-    solved = solve_spd(stats.cov, diff.T, ridge)
-    scores = np.einsum("ij,ji->i", diff, solved)
-    return IntensityMap(np.maximum(scores, 0.0).reshape(height, width))
+    scores = np.empty(x.shape[0])
+    for part in _row_blocks(x.shape[0]):
+        block = diff[part]
+        solved = solve_spd(cov, block.T, ridge)
+        scores[part] = np.einsum("ij,ji->i", block, solved)
+    return IntensityMap(np.maximum(scores, 0.0, out=scores).reshape(height, width))
 
 
 def fit_cc(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPredictor:
     """Least-squares affine predictor of y from x: gain = cov_yx (cov_xx + ridge I)^{-1}."""
     x, y = _check_pair(x, y)
-    stats_x = mean_cov(x)
+    centered_x = np.copy(x)
+    stats_x = _center_in_place(centered_x)
     mean_y = y.mean(axis=0)
-    cross_xy = (x - stats_x.mean).T @ (y - mean_y) / x.shape[0]  # cov_xy, (Q, Q)
+    cross_xy = centered_x.T @ (y - mean_y) / x.shape[0]  # cov_xy, (Q, Q)
     gain = solve_spd(stats_x.cov, cross_xy, ridge).T
     return LinearPredictor(gain, stats_x.mean, mean_y)
 

@@ -24,6 +24,7 @@ from .errors import DataIOError, NumericalError, ValidationError
 
 _HEADER_DTYPE = "f32"
 _HEADER_INTERLEAVE = "bsq"
+_BLOCK = 1024  # rows per block in blocked per-pixel scoring
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,20 @@ def flatten(cube: HyperCube) -> np.ndarray:
     """
     h, w, q = cube.shape
     return cube.data.reshape(h * w, q)
+
+
+def _row_blocks(rows: int):
+    """Yield slices that cover `rows` rows in order, `_BLOCK` rows at a time.
+
+    The last slice also takes a remainder shorter than `_BLOCK`, so no BLAS
+    call sees a short block and each row's score is the one a whole-matrix
+    pass gives, bit for bit.
+    """
+    start = 0
+    while start < rows:
+        stop = start + _BLOCK if rows - start >= 2 * _BLOCK else rows
+        yield slice(start, stop)
+        start = stop
 
 
 def _is_int(value) -> bool:

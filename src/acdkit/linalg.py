@@ -61,15 +61,24 @@ def _resolve_ridge(a: np.ndarray, ridge: float | None) -> float:
 
 def mean_cov(m: np.ndarray) -> Stats:
     """Column means and population covariance (1/M) of an M x Q matrix."""
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"pixel matrix must be 2-D, got shape {arr.shape}")
-    rows = arr.shape[0]
+    return _center_in_place(np.array(m, dtype=np.float64))
+
+
+def _center_in_place(m: np.ndarray) -> Stats:
+    """`mean_cov` of a caller-owned, writable float64 matrix, which is left centered.
+
+    Callers that build a matrix only for its statistics (a difference, or a
+    copy they go on to use centered) save the pixel-sized copy `mean_cov`
+    makes.
+    """
+    if m.ndim != 2:
+        raise ValidationError(f"pixel matrix must be 2-D, got shape {m.shape}")
+    rows = m.shape[0]
     if rows < 2:
         raise ValidationError(f"need at least 2 rows for covariance, got {rows}")
-    mean = arr.mean(axis=0)
-    centered = arr - mean
-    cov = centered.T @ centered / rows
+    mean = m.mean(axis=0)
+    m -= mean
+    cov = m.T @ m / rows
     return Stats(mean=mean, cov=(cov + cov.T) / 2.0)
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityMap, _check_pair
+from .core import IntensityMap, _check_pair, _row_blocks
 from .errors import NumericalError, ValidationError
-from .linalg import generalized_eigh, mean_cov
+from .linalg import _center_in_place, generalized_eigh, mean_cov
 from .neural import SampleSet
 
 logger = logging.getLogger(__name__)
@@ -86,8 +86,7 @@ def usfa_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> UsfaMo
     x, y = _check_pair(x, y)
     stats_x = mean_cov(x)
     stats_y = mean_cov(y)
-    stats_d = mean_cov(x - y)
-    slow = stats_d.cov
+    slow = _center_in_place(x - y).cov
     shared = 0.5 * (stats_x.cov + stats_y.cov)
     values, vectors = generalized_eigh(slow, shared, ridge)
     keep = values < 1.0
@@ -111,7 +110,8 @@ def usfa_intensity(
 
     score_i = sum_k [p_k . ((x_i - mu_x) - (y_i - mu_y))]^2 / max(lambda_k, 1e-12),
     a chi-square-style statistic over the retained slow features. Identical
-    inputs therefore score exactly zero.
+    inputs therefore score exactly zero. Pixels are scored one
+    `core._row_blocks` block at a time.
     """
     x, y = _check_pair(x, y)
     if x.shape[1] != model.projection.shape[1]:
@@ -121,10 +121,12 @@ def usfa_intensity(
     height, width = int(shape[0]), int(shape[1])
     if height * width != x.shape[0]:
         raise ValidationError(f"shape {shape} does not cover {x.shape[0]} pixels")
-    diff = (x - model.mean_x) - (y - model.mean_y)
-    projected = diff @ model.projection.T
     scale = np.maximum(model.eigenvalues, _EIGENVALUE_FLOOR)
-    scores = np.sum(projected * projected / scale, axis=1)
+    scores = np.empty(x.shape[0])
+    for part in _row_blocks(x.shape[0]):
+        diff = (x[part] - model.mean_x) - (y[part] - model.mean_y)
+        projected = diff @ model.projection.T
+        np.sum(projected * projected / scale, axis=1, out=scores[part])
     return IntensityMap(scores.reshape(height, width))
 
 
@@ -137,35 +139,49 @@ def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
     """Lloyd's algorithm on scalars with deterministic quantile seeding.
 
     Centers start at the (2j+1)/(2k) quantiles, so runs are reproducible
-    without randomness. An emptied cluster is re-seeded at the value
-    farthest from its currently assigned center, among the values whose
-    cluster keeps another member. Stops when the assignment is stable or
-    after 300 iterations.
+    without randomness. Each value joins its nearest center, the first one
+    on a tie. An emptied cluster is re-seeded at the value farthest from its
+    currently assigned center, among the values whose cluster keeps another
+    member. Stops when the assignment is stable or after 300 iterations.
+    NaN or Inf values raise ValidationError.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     flat = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValidationError("values to cluster contain NaN or Inf entries")
     if flat.size < k or np.unique(flat).size < k:
         raise ValidationError(f"need at least {k} distinct values, got {np.unique(flat).size}")
     centers = _init_centers(flat, k)
     assignments = np.full(flat.size, -1, dtype=np.int64)
+    nearest = np.empty_like(assignments)
+    best = np.empty_like(flat)
+    distance = np.empty_like(flat)
+    closer = np.empty(flat.size, dtype=bool)
     for _ in range(_KMEANS_MAX_ITER):
-        distances = np.abs(flat[:, np.newaxis] - centers[np.newaxis, :])
-        new_assignments = np.argmin(distances, axis=1)
-        for cluster in range(k):
-            if not np.any(new_assignments == cluster):
-                residual = np.abs(flat - centers[new_assignments])
-                # never take a cluster's last member, or that cluster empties instead
-                sizes = np.bincount(new_assignments, minlength=k)
-                residual[sizes[new_assignments] < 2] = -1.0
-                outlier = int(np.argmax(residual))
-                centers[cluster] = flat[outlier]
-                new_assignments[outlier] = cluster
-        if np.array_equal(new_assignments, assignments):
+        nearest.fill(0)
+        np.abs(np.subtract(flat, centers[0], out=best), out=best)
+        for cluster in range(1, k):
+            np.abs(np.subtract(flat, centers[cluster], out=distance), out=distance)
+            np.less(distance, best, out=closer)  # strict, so the first of tied centers wins
+            np.putmask(nearest, closer, cluster)
+            np.minimum(best, distance, out=best)
+        sizes = np.bincount(nearest, minlength=k)
+        for cluster in np.flatnonzero(sizes == 0):
+            residual = np.abs(flat - centers[nearest])
+            # never take a cluster's last member, or that cluster empties instead
+            residual[sizes[nearest] < 2] = -1.0
+            outlier = int(np.argmax(residual))
+            sizes[nearest[outlier]] -= 1
+            sizes[cluster] = 1
+            centers[cluster] = flat[outlier]
+            nearest[outlier] = cluster
+        if np.array_equal(nearest, assignments):
             break
-        assignments = new_assignments
+        assignments, nearest = nearest, assignments
         for cluster in range(k):
-            centers[cluster] = flat[assignments == cluster].mean()
+            # the same values as flat[assignments == cluster], gathered faster
+            centers[cluster] = np.compress(assignments == cluster, flat).mean()
     order = np.argsort(centers, kind="stable")
     if np.unique(centers).size != k:
         raise NumericalError("clustering collapsed to duplicate centers")

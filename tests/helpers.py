@@ -138,3 +138,34 @@ def mann_whitney_auc(anomaly_scores, background_scores):
             elif a == b:
                 wins += 0.5
     return wins / (anomaly.size * background.size)
+
+
+def reference_kmeans_1d(values, k: int):
+    """The (M, k) distance-matrix Lloyd loop that `kmeans_1d` replaced, as its oracle.
+
+    Same seeding, reseed rule, stopping rule and ranking; returns the sorted
+    centers and the ranked assignments.
+    """
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    centers = np.quantile(flat, (2.0 * np.arange(k) + 1.0) / (2.0 * k))
+    assignments = np.full(flat.size, -1, dtype=np.int64)
+    for _ in range(300):
+        distances = np.abs(flat[:, np.newaxis] - centers[np.newaxis, :])
+        new_assignments = np.argmin(distances, axis=1)
+        for cluster in range(k):
+            if not np.any(new_assignments == cluster):
+                residual = np.abs(flat - centers[new_assignments])
+                sizes = np.bincount(new_assignments, minlength=k)
+                residual[sizes[new_assignments] < 2] = -1.0
+                outlier = int(np.argmax(residual))
+                centers[cluster] = flat[outlier]
+                new_assignments[outlier] = cluster
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for cluster in range(k):
+            centers[cluster] = flat[assignments == cluster].mean()
+    order = np.argsort(centers, kind="stable")
+    rank = np.empty(k, dtype=np.int64)
+    rank[order] = np.arange(k)
+    return centers[order], rank[assignments]

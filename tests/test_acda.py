@@ -146,7 +146,7 @@ class TestPredictImage:
             blocks.append(out.copy())
             return out
 
-        monkeypatch.setattr("acdkit.acda._BLOCK", 7)
+        monkeypatch.setattr("acdkit.core._BLOCK", 7)
         loss_map(recording, img, img, (5, 6))
         assert [b.shape[0] for b in blocks] == [7, 7, 7, 9]
         chunked = np.concatenate(blocks)
@@ -194,7 +194,7 @@ class TestLossMap:
         y = rng.uniform(0.0, 1.0, size=(30, 16))
         net = functools.partial(predict_image, init_params(NetworkShape.bottleneck(16, 8, 5), seed=11))
         linear = fit_cc(x, y).predict
-        monkeypatch.setattr("acdkit.acda._BLOCK", 7)
+        monkeypatch.setattr("acdkit.core._BLOCK", 7)
         for predict in (net, linear):
             rows = []
 
@@ -459,12 +459,16 @@ def _peak_in_pixel_matrices(fn, cube) -> float:
 class TestPeakMemory:
     """Scoring and pre-detection work on views of the cubes, not float64 copies.
 
-    On the 64 x 64 x 16 scene the peaks measure about 2.1 (the run, set by
-    pre-detection), 2.1 (pre-detection), 0.7 (scoring one net) and 3.1
-    (Diff-RX) pixel matrices; a float64 copy of both cubes adds 2, and
-    scoring that predicts the whole image first reaches 1 or more. On the
-    128 x 128 x 16 scene a 1024-row block is 1/16 of the image, and scoring
-    one net or one CC direction measures about 0.2 and 0.3.
+    On the 64 x 64 x 16 scene the peaks measure about 2.0 (the run, set by
+    training's buffers, which do not grow with the image), 1.15
+    (pre-detection), 0.7 (scoring one net) and 1.96 (Diff-RX) pixel
+    matrices; a float64 copy of both cubes adds 2, and scoring that predicts
+    the whole image first reaches 1 or more. On the 128 x 128 x 16 scene a
+    1024-row block is 1/16 of the image: scoring one net or one CC direction
+    measures about 0.2 and 0.3, pre-detection 1.03 (the difference whose
+    covariance it takes) and Diff-RX 1.29 (the difference and one block's
+    solve). Centering a copy of the difference adds one pixel matrix to
+    either, and solving the whole difference at once two to Diff-RX.
     """
 
     @pytest.fixture(scope="class")
@@ -507,11 +511,19 @@ class TestPeakMemory:
             assert _peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 0.5
 
     def test_diff_rx_peak_is_below_three_and_a_half_pixel_matrices(self, scene):
-        # The difference, the solver's copy of it, the solution and the
-        # residual check; a second centered copy of the difference adds one.
         x, y, _ = scene
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
         assert _peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 3.5
+
+    def test_prepare_samples_holds_one_pixel_matrix(self, large_scene):
+        x, y, _ = large_scene
+        cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
+        assert _peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 1.5
+
+    def test_diff_rx_holds_the_difference_and_row_blocks(self, large_scene):
+        x, y, _ = large_scene
+        fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
+        assert _peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 1.5
 
 
 class TestPrepareSamples:

@@ -14,7 +14,7 @@ from acdkit.baselines import (
 )
 from acdkit.core import HyperCube
 from acdkit.errors import ValidationError
-from acdkit.linalg import inv_sqrt
+from acdkit.linalg import inv_sqrt, mean_cov, solve_spd
 
 
 def _correlated_pair(rng, rows, bands, jitter=0.3):
@@ -71,8 +71,36 @@ class TestDiffRx:
         with pytest.raises(ValidationError, match="cover"):
             diff_rx(np.ones((10, 2)), np.zeros((10, 2)), (3, 3))
 
+    def test_row_blocks_match_one_whole_matrix_solve(self, monkeypatch):
+        # 30 rows in blocks of 7: the last block takes the remainder, 9 rows.
+        rng = np.random.default_rng(13)
+        x, y = _correlated_pair(rng, 30, 5)
+        stats = mean_cov(x - y)
+        centered = (x - y) - stats.mean
+        whole = np.maximum(np.einsum("ij,ji->i", centered, solve_spd(stats.cov, centered.T)), 0.0)
+        rows = []
+
+        def counting(a, rhs, ridge=None):
+            rows.append(rhs.shape[1])
+            return solve_spd(a, rhs, ridge)
+
+        monkeypatch.setattr("acdkit.core._BLOCK", 7)
+        monkeypatch.setattr("acdkit.baselines.solve_spd", counting)
+        blocked = diff_rx(x, y, (5, 6)).values.ravel()
+        assert rows == [7, 7, 7, 9]
+        assert blocked.tobytes() == whole.tobytes()
+
 
 class TestFitCc:
+    def test_gain_matches_separately_centered_products_bit_for_bit(self):
+        # x is centered once and used for both the covariance and the cross-covariance.
+        rng = np.random.default_rng(15)
+        x, y = _correlated_pair(rng, 50, 4)
+        stats = mean_cov(x)
+        cross = (x - stats.mean).T @ (y - y.mean(axis=0)) / 50
+        gain = solve_spd(stats.cov, cross).T
+        assert fit_cc(x, y).gain.tobytes() == gain.tobytes()
+
     def test_recovers_exact_affine_relation(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(300, 5))

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from acdkit.errors import ValidationError
 from acdkit.linalg import (
+    _center_in_place,
     default_ridge,
     eigh,
     generalized_eigh,
@@ -57,6 +58,27 @@ class TestMeanCov:
         base, moved = mean_cov(m), mean_cov(m + shift)
         assert_allclose(moved.mean, base.mean + shift, atol=1e-10)
         assert_allclose(moved.cov, base.cov, atol=1e-9)
+
+    def test_leaves_its_input_unchanged(self):
+        rng = np.random.default_rng(6)
+        m = rng.normal(size=(20, 3))
+        before = m.copy()
+        mean_cov(m)
+        assert_array_equal(m, before)
+
+    def test_in_place_centering_gives_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(25, 4)) + 5.0
+        base = mean_cov(m)
+        owned = m.copy()
+        stats = _center_in_place(owned)
+        assert stats.mean.tobytes() == base.mean.tobytes()
+        assert stats.cov.tobytes() == base.cov.tobytes()
+        assert owned.tobytes() == (m - base.mean).tobytes()
+
+    def test_in_place_centering_rejects_single_row(self):
+        with pytest.raises(ValidationError, match="2 rows"):
+            _center_in_place(np.ones((1, 3)))
 
 
 class TestEigh:

@@ -140,6 +140,20 @@ class TestUsfaIntensity:
         with pytest.raises(ValidationError, match="cover"):
             usfa_intensity(model, x, x, (3, 5))
 
+    def test_row_blocks_match_one_whole_matrix_pass(self, monkeypatch):
+        # 30 rows in blocks of 7: the last block takes the remainder, 9 rows.
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0.0, 1.0, size=(30, 6))
+        y = x + rng.normal(scale=0.1, size=(30, 6))
+        model = usfa_fit(x, y)
+        assert model.projection.shape[0] > 1
+        diff = (x - model.mean_x) - (y - model.mean_y)
+        projected = diff @ model.projection.T
+        whole = np.sum(projected * projected / np.maximum(model.eigenvalues, 1e-12), axis=1)
+        monkeypatch.setattr("acdkit.core._BLOCK", 7)
+        blocked = usfa_intensity(model, x, y, (5, 6)).values.ravel()
+        assert blocked.tobytes() == whole.tobytes()
+
 
 class TestKmeans1d:
     def test_three_separated_pairs(self):
@@ -198,6 +212,19 @@ class TestKmeans1d:
             result = kmeans_1d(np.array([0.0, 7.0, 8.0, 8.0, 8.0]), 3)
         assert_array_equal(result.centers, [0.0, 7.0, 8.0])
         assert_array_equal(result.assignments, [0, 1, 2, 2, 2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            kmeans_1d(np.array([bad, 1.0, 2.0, 3.0]), 3)
+
+    def test_ties_go_to_the_first_center(self):
+        # The seeds are 1.5 and 4.5, so 3 is exactly as far from both; it joins
+        # the first, as argmin's first-wins rule has it. Joining the second
+        # would converge to [0, 0, 0, 1, 1, 1, 1].
+        result = kmeans_1d(np.arange(7.0), 2)
+        assert_array_equal(result.centers, [1.5, 5.0])
+        assert_array_equal(result.assignments, [0, 0, 0, 0, 1, 1, 1])
 
 
 class TestSelectSamples:

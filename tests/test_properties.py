@@ -1,8 +1,9 @@
 """Property tests for the scoring maths: AUC rank invariance, min-fusion dominance,
 and Diff-RX / SFA invariance under a band transform shared by both acquisitions;
-the postconditions of the scalar k-means; bit-exact round trips of the cube, mask
-and curve files; and the whole ACDA pipeline on tiny random pairs, which either
-gives a map or raises an AcdkitError.
+the postconditions of the scalar k-means and its agreement with the plain
+Lloyd loop; bit-exact round trips of the cube, mask and curve files; and the
+whole ACDA pipeline on tiny random pairs, which either gives a map or raises an
+AcdkitError.
 
 Hypothesis draws the inputs; `derandomize=True` makes every run draw the same
 examples, so a failure reproduces and CI stays deterministic.
@@ -13,7 +14,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,10 +30,11 @@ from acdkit.core import (
     write_cube,
     write_mask,
 )
-from acdkit.errors import AcdkitError
+from acdkit.errors import AcdkitError, NumericalError
 from acdkit.evaluate import export_curve, roc
 from acdkit.neural import TrainConfig
 from acdkit.predetect import kmeans_1d, usfa_fit, usfa_intensity
+from helpers import reference_kmeans_1d
 
 deterministic = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -168,6 +171,33 @@ def test_kmeans_postconditions(case):
     assert np.array_equal(np.unique(assignments), np.arange(k))  # in range, none empty
     distances = np.abs(values[:, np.newaxis] - centers)
     assert np.all(distances[np.arange(values.size), assignments] == distances.min(axis=1))
+
+
+@deterministic
+@given(
+    # Small integers give exact ties between centers and several empty clusters at once.
+    values=st.one_of(
+        st.lists(st.sampled_from(KMEANS_GRID), min_size=1, max_size=12),
+        st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=40),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+    ),
+    k=st.integers(1, 5),
+)
+# Two clusters empty at once: the second reseed must see the first one's move.
+@example(values=[3.0, 0.0, 5.0, 0.0, 8.0, 9.0], k=5)
+def test_kmeans_matches_the_distance_matrix_lloyd_loop(values, k):
+    values = np.array(values)
+    assume(np.unique(values).size >= k)
+    centers, assignments = reference_kmeans_1d(values, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.unique(centers).size != k:
+            with pytest.raises(NumericalError, match="duplicate"):
+                kmeans_1d(values, k)
+            return
+        result = kmeans_1d(values, k)
+    assert result.centers.tobytes() == centers.tobytes()
+    assert np.array_equal(result.assignments, assignments)
 
 
 F32_MAX = float(np.finfo(np.float32).max)
