@@ -153,29 +153,3 @@ def generalized_eigh(
     values, inner = eigh((reduced + reduced.T) / 2.0)
     return values, whitener @ inner
 
-
-def solve_spd(a: np.ndarray, rhs: np.ndarray, ridge: float | None = None) -> np.ndarray:
-    """Solve (A + ridge I) X = rhs for symmetric PSD A."""
-    sym = _as_symmetric(a, "solve_spd input")
-    ridge_val = _resolve_ridge(sym, ridge)
-    rhs_arr = np.asarray(rhs, dtype=np.float64)
-    if rhs_arr.shape[0] != sym.shape[0]:
-        raise ValidationError(
-            f"rhs has {rhs_arr.shape[0]} rows, matrix dimension is {sym.shape[0]}"
-        )
-    system = sym + ridge_val * np.eye(sym.shape[0])
-    try:
-        solution = np.linalg.solve(system, rhs_arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SPD solve failed after ridge {ridge_val:.3e}: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
-        raise NumericalError(f"SPD solve produced non-finite values (ridge {ridge_val:.3e})")
-    check = system @ solution
-    check -= rhs_arr
-    residual = np.linalg.norm(check)
-    rhs_norm = np.linalg.norm(rhs_arr)
-    if rhs_norm > 0 and residual > 1e-8 * rhs_norm:
-        raise NumericalError(
-            f"SPD solve residual {residual / rhs_norm:.3e} exceeds 1e-8; increase the ridge"
-        )
-    return solution

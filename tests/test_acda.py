@@ -17,7 +17,7 @@ from acdkit.acda import (
     prepare_samples,
     run_acda,
 )
-from acdkit.baselines import diff_rx, fit_cc
+from acdkit.baselines import diff_rx, fit_cc, run_baseline
 from acdkit.core import HyperCube, IntensityMap, flatten
 from acdkit.errors import NumericalError, ValidationError
 from acdkit.neural import (
@@ -461,14 +461,15 @@ class TestPeakMemory:
 
     On the 64 x 64 x 16 scene the peaks measure about 2.0 (the run, set by
     training's buffers, which do not grow with the image), 1.15
-    (pre-detection), 0.7 (scoring one net) and 1.96 (Diff-RX) pixel
+    (pre-detection), 0.7 (scoring one net) and 1.58 (Diff-RX) pixel
     matrices; a float64 copy of both cubes adds 2, and scoring that predicts
     the whole image first reaches 1 or more. On the 128 x 128 x 16 scene a
     1024-row block is 1/16 of the image: scoring one net or one CC direction
     measures about 0.2 and 0.3, pre-detection 1.03 (the difference whose
-    covariance it takes) and Diff-RX 1.29 (the difference and one block's
-    solve). Centering a copy of the difference adds one pixel matrix to
-    either, and solving the whole difference at once two to Diff-RX.
+    covariance it takes), Diff-RX 1.19 (the difference and one whitened
+    block) and both CC directions with their scoring 1.10 (the centered x).
+    Centering a copy of the difference adds one pixel matrix to either, and
+    centering y beside x adds one to CC.
     """
 
     @pytest.fixture(scope="class")
@@ -524,6 +525,10 @@ class TestPeakMemory:
         x, y, _ = large_scene
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
         assert _peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 1.5
+
+    def test_cc_holds_one_pixel_matrix(self, large_scene):
+        x, y, _ = large_scene
+        assert _peak_in_pixel_matrices(lambda: run_baseline("cc", x, y), x) <= 1.5
 
 
 class TestPrepareSamples:

@@ -14,7 +14,8 @@ from acdkit.baselines import (
 )
 from acdkit.core import HyperCube
 from acdkit.errors import ValidationError
-from acdkit.linalg import inv_sqrt, mean_cov, solve_spd
+from acdkit.core import _row_blocks
+from acdkit.linalg import default_ridge, inv_sqrt, mean_cov
 
 
 def _correlated_pair(rng, rows, bands, jitter=0.3):
@@ -76,16 +77,17 @@ class TestDiffRx:
         rng = np.random.default_rng(13)
         x, y = _correlated_pair(rng, 30, 5)
         stats = mean_cov(x - y)
-        centered = (x - y) - stats.mean
-        whole = np.maximum(np.einsum("ij,ji->i", centered, solve_spd(stats.cov, centered.T)), 0.0)
+        white = ((x - y) - stats.mean) @ inv_sqrt(stats.cov)
+        whole = np.einsum("ij,ij->i", white, white)
         rows = []
 
-        def counting(a, rhs, ridge=None):
-            rows.append(rhs.shape[1])
-            return solve_spd(a, rhs, ridge)
+        def recording(count):
+            parts = list(_row_blocks(count))
+            rows.extend(part.stop - part.start for part in parts)
+            return parts
 
         monkeypatch.setattr("acdkit.core._BLOCK", 7)
-        monkeypatch.setattr("acdkit.baselines.solve_spd", counting)
+        monkeypatch.setattr("acdkit.baselines._row_blocks", recording)
         blocked = diff_rx(x, y, (5, 6)).values.ravel()
         assert rows == [7, 7, 7, 9]
         assert blocked.tobytes() == whole.tobytes()
@@ -97,8 +99,9 @@ class TestFitCc:
         rng = np.random.default_rng(15)
         x, y = _correlated_pair(rng, 50, 4)
         stats = mean_cov(x)
-        cross = (x - stats.mean).T @ (y - y.mean(axis=0)) / 50
-        gain = solve_spd(stats.cov, cross).T
+        cov_yx = ((x - stats.mean).T @ y / 50).T
+        whitener = inv_sqrt(stats.cov)
+        gain = cov_yx @ whitener @ whitener
         assert fit_cc(x, y).gain.tobytes() == gain.tobytes()
 
     def test_recovers_exact_affine_relation(self):
@@ -136,6 +139,40 @@ class TestFitCc:
             )
             perturbed = float(np.sum((noisy.predict(x) - y) ** 2))
             assert perturbed >= best - 1e-9 * best
+
+
+class TestLinearSolveReference:
+    """The whitened forms agree with the textbook solve against (cov + ridge I)."""
+
+    @staticmethod
+    def _solve(cov, rhs):
+        return np.linalg.solve(cov + default_ridge(cov) * np.eye(cov.shape[0]), rhs)
+
+    @staticmethod
+    def _well_conditioned_pair(rng, rows, bands):
+        def mix():
+            return np.eye(bands) + 0.2 * rng.normal(size=(bands, bands))
+
+        x = rng.normal(size=(rows, bands)) @ mix()
+        # y's offset makes fit_cc's uncentered cross-covariance cancel its mean.
+        y = 3.0 + x @ mix().T + 0.5 * rng.normal(size=(rows, bands))
+        return x, y
+
+    def test_diff_rx_and_cc_gain_match_a_linear_solve(self):
+        rng = np.random.default_rng(67)
+        for bands in (2, 5, 9, 16):
+            x, y = self._well_conditioned_pair(rng, 600, bands)
+            stats = mean_cov(x - y)
+            centered = (x - y) - stats.mean
+            reference = np.einsum("ij,ji->i", centered, self._solve(stats.cov, centered.T))
+            scores = diff_rx(x, y, (20, 30)).values.ravel()
+            assert np.abs(scores - reference).max() <= 1e-12 * reference.max()
+
+            stats_x = mean_cov(x)
+            cov_xy = (x - stats_x.mean).T @ (y - y.mean(axis=0)) / 600
+            reference = self._solve(stats_x.cov, cov_xy).T
+            gain = fit_cc(x, y).gain
+            assert np.abs(gain - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestFitCe:

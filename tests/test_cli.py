@@ -242,6 +242,23 @@ class TestDetectLinear:
         assert code == 2
 
 
+class TestDegenerateScenes:
+    @pytest.mark.parametrize("method", ["cc", "ce", "acda"])
+    def test_constant_cubes_are_one_numerical_error(self, tmp_path, capsys, method):
+        # Every covariance inverse goes through inv_sqrt, so all three fail alike.
+        paths = []
+        for name, level in (("x", 0.5), ("y", 0.25)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            write_cube(HyperCube(np.full((8, 8, 5), level, dtype=np.float32)), paths[-1])
+        short = ["--set", "epochs=2", "--set", "repeats=1"] if method == "acda" else []
+        code = main(["detect", method, *paths, *short, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert _error_lines(capsys) == [
+            "error: eigenvalue 0.000e+00 below tolerance floor after ridge 0.000e+00"
+        ]
+        assert not (tmp_path / "o").exists()
+
+
 class TestDetectAcda:
     def test_small_run_completes_quickly(self, ws, tmp_path):
         wide = ws["wide"]

@@ -1,4 +1,4 @@
-"""Statistics, symmetric eigensolver, matrix roots, and SPD solves."""
+"""Statistics, symmetric eigensolver and matrix roots."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from acdkit.linalg import (
     generalized_eigh,
     inv_sqrt,
     mean_cov,
-    solve_spd,
     sym_sqrt,
 )
 
@@ -203,46 +202,20 @@ class TestGeneralizedEigh:
             generalized_eigh(np.eye(3), np.eye(4))
 
 
-class TestSolveSpd:
-    def test_identity_system(self):
-        rhs = np.array([1.0, 2.0, 3.0])
-        assert_allclose(solve_spd(np.eye(3), rhs, ridge=0.0), rhs)
-
-    def test_diagonal_system(self):
-        assert_allclose(solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]), ridge=0.0), [1.0, 2.0])
-
-    def test_residual_on_random_systems(self):
-        rng = np.random.default_rng(26)
-        for _ in range(10):
-            dim = int(rng.integers(2, 12))
-            a = _random_spd(rng, dim)
-            rhs = rng.normal(size=(dim, int(rng.integers(1, 4))))
-            x = solve_spd(a, rhs, ridge=0.0)
-            assert np.linalg.norm(a @ x - rhs) < 1e-8 * max(np.linalg.norm(rhs), 1.0)
-
-    def test_rhs_row_mismatch(self):
-        with pytest.raises(ValidationError, match="rows"):
-            solve_spd(np.eye(3), np.ones((4, 1)))
-
-
 class TestDefaultRidge:
     def test_trace_scaling(self):
         assert default_ridge(np.diag([2.0, 4.0])) == pytest.approx(1e-6 * 3.0)
 
     def test_none_resolves_to_default(self):
         # Omitting the ridge on a singular matrix still yields a finite
-        # solution because the trace-scaled default regularizes the system.
-        a = np.diag([1.0, 0.0])
-        x = solve_spd(a, np.array([1.0, 0.0]))
-        assert np.all(np.isfinite(x))
+        # inverse root because the trace-scaled default regularizes it.
+        root = inv_sqrt(np.diag([1.0, 0.0]))
+        assert np.all(np.isfinite(root))
 
     @pytest.mark.parametrize(
         "ridge", [-1e-3, np.inf, np.nan, True], ids=["negative", "inf", "nan", "bool"]
     )
-    @pytest.mark.parametrize(
-        "solve", [lambda r: inv_sqrt(np.eye(2), r), lambda r: solve_spd(np.eye(2), np.ones(2), r)],
-        ids=["inv_sqrt", "solve_spd"],
-    )
+    @pytest.mark.parametrize("solve", [lambda r: inv_sqrt(np.eye(2), r)], ids=["inv_sqrt"])
     def test_out_of_range_ridge_rejected(self, solve, ridge):
         # Checked before any arithmetic: a negative ridge would regularise by -|ridge| I.
         with pytest.raises(ValidationError, match="ridge must be"):
