@@ -9,6 +9,7 @@ Every byte of the output is a pure function of the scene spec.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, fields
 
@@ -204,62 +205,60 @@ def _smooth_fields(rng: np.random.Generator, count: int, height: int, width: int
 class _ConditionMap:
     """The second acquisition's per-band imaging transform, reusable on any spectrum.
 
-    The nonlinear flavor adds a monotone sum of tanh compressions per band,
-    one knee per sharpness in `_TANH_SHARPNESS`. A single knee is not enough:
-    its per-band curves are so smooth over the scene's low-dimensional
-    abundance manifold that a cross-band affine map can cancel them almost
-    exactly in the inverse direction, which would let a linear predictor
-    learn the condition after all. Several knees at distinct centers and
-    sharpnesses keep the distortion outside any affine predictor's reach.
+    Its parameters alone say what the condition is: the identity has gains 1,
+    offsets 0 and no knees, an affine map has no knees, and a nonlinear map
+    adds `strength` times a monotone sum of tanh compressions per band, one
+    knee per sharpness in `_TANH_SHARPNESS`. A single knee is not enough: its
+    per-band curves are so smooth over the scene's low-dimensional abundance
+    manifold that a cross-band affine map can cancel them almost exactly in
+    the inverse direction, which would let a linear predictor learn the
+    condition after all. Several knees at distinct centers and sharpnesses
+    keep the distortion outside any affine predictor's reach.
     """
 
-    kind: str
     strength: float
     gains: np.ndarray
     offsets: np.ndarray
-    amps: np.ndarray  # (n_knees, bands), nonnegative
+    amps: np.ndarray  # (n_knees, bands), nonnegative; (0, bands) without knees
     centers: np.ndarray  # (n_knees, bands)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == "identical":
-            return np.array(values, copy=True)
         out = values * self.gains + self.offsets
-        if self.kind == "nonlinear":
-            bend = np.zeros_like(out)
+        if len(self.amps):
+            bend, term = np.zeros_like(out), np.empty_like(out)
             for sharp, amp, center in zip(_TANH_SHARPNESS, self.amps, self.centers):
-                bend = bend + amp * np.tanh(sharp * (out - center))
-            out = out + self.strength * bend
+                np.subtract(out, center, out=term)
+                term *= sharp
+                np.tanh(term, out=term)
+                term *= amp
+                bend += term
+            bend *= self.strength
+            out += bend
         return out
 
 
 def _fit_condition(
     background: np.ndarray, spec: SceneSpec, rng: np.random.Generator
 ) -> _ConditionMap:
-    """Draw the condition parameters; knee centers sit at random quantiles
-    of the affine-transformed background so the saturation bites inside each
-    band's bulk. Knee amplitudes are positive so each band's curve stays
-    monotone increasing."""
-    ones = np.ones(spec.bands)
-    zeros = np.zeros(spec.bands)
+    """Draw the condition's parameters; an identical condition draws nothing.
+    Knee centers sit at random quantiles of the knee-free map's image of the
+    background so the saturation bites inside each band's bulk. Knee
+    amplitudes are positive so each band's curve stays monotone increasing."""
     n_knees = len(_TANH_SHARPNESS)
     empty = np.zeros((0, spec.bands))
     if spec.condition == "identical":
-        return _ConditionMap("identical", 0.0, ones, zeros, empty, empty)
+        return _ConditionMap(0.0, np.ones(spec.bands), np.zeros(spec.bands), empty, empty)
     s = spec.condition_strength
     gains = rng.uniform(1.0 - s, 1.0 + s, spec.bands)
     offsets = rng.uniform(-s, s, spec.bands) * float(background.mean())
+    affine = _ConditionMap(s, gains, offsets, empty, empty)
     if spec.condition == "affine":
-        return _ConditionMap("affine", s, gains, offsets, empty, empty)
-    affine = (background * gains + offsets).reshape(-1, spec.bands)
+        return affine
+    image = affine.apply(background).reshape(-1, spec.bands)
     knees = rng.uniform(*_TANH_KNEE_QUANTILES, (n_knees, spec.bands))
-    centers = np.array(
-        [
-            [np.quantile(affine[:, b], knees[k, b]) for b in range(spec.bands)]
-            for k in range(n_knees)
-        ]
-    )
+    centers = np.stack([np.quantile(image[:, b], knees[:, b]) for b in range(spec.bands)], axis=1)
     amps = rng.uniform(0.5, 1.0, (n_knees, spec.bands)) / n_knees
-    return _ConditionMap("nonlinear", s, gains, offsets, amps, centers)
+    return _ConditionMap(s, gains, offsets, amps, centers)
 
 
 def _anomaly_spectrum(
@@ -297,47 +296,51 @@ def _mix(fields_: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     real data.
     """
     linear = np.einsum("ehw,eb->hwb", fields_, spectra)
-    count = fields_.shape[0]
     bilinear = np.zeros_like(linear)
-    for e in range(count):
-        for f in range(e + 1, count):
-            bilinear += (
-                (fields_[e] * fields_[f])[..., np.newaxis] * (spectra[e] * spectra[f])
-            )
-    return linear + _MIX_BILINEAR * bilinear
+    for e, f in itertools.combinations(range(len(fields_)), 2):
+        bilinear += (fields_[e] * fields_[f])[..., np.newaxis] * (spectra[e] * spectra[f])
+    bilinear *= _MIX_BILINEAR
+    linear += bilinear
+    return linear
 
 
 def generate(spec: SceneSpec) -> tuple[HyperCube, HyperCube, GroundTruthMask]:
     """Produce the acquisition pair and its anomaly mask for a scene spec.
 
     The first acquisition is the background itself; the second is the
-    background pushed through the condition transform. Each anomaly rect
-    replaces the clean spectra of its target acquisition with a random
-    distinct spectrum before noise, and the mask marks exactly those rects.
+    background pushed through the condition transform before any anomaly is
+    planted in the first. Each anomaly rect replaces the clean spectra of its
+    target acquisition with a random distinct spectrum before noise, and the
+    mask marks exactly those rects. A spec whose arithmetic overflows float64
+    raises NumericalError.
     """
     rng = np.random.default_rng(spec.seed)
-    spectra = _smooth_spectra(rng, spec.n_endmembers, spec.bands)
-    fields_ = _smooth_fields(rng, spec.n_endmembers, spec.height, spec.width)
-    background = _mix(fields_, spectra)
+    try:
+        with np.errstate(over="raise"):
+            spectra = _smooth_spectra(rng, spec.n_endmembers, spec.bands)
+            fields_ = _smooth_fields(rng, spec.n_endmembers, spec.height, spec.width)
+            x_clean = _mix(fields_, spectra)
+            condition = _fit_condition(x_clean, spec, rng)
+            y_clean = condition.apply(x_clean)
 
-    condition = _fit_condition(background, spec, rng)
-    x_clean = background.copy()
-    y_clean = condition.apply(background)
+            labels = np.zeros((spec.height, spec.width), dtype=np.uint8)
+            for rect in spec.anomalies:
+                window = (slice(rect.y, rect.y + rect.h), slice(rect.x, rect.x + rect.w))
+                insert = rect.mode == "insert_t2"
+                target = y_clean if insert else x_clean
+                local_reference = target[window].reshape(-1, spec.bands).mean(axis=0)
+                planted = _anomaly_spectrum(rng, spec.bands, condition, insert, local_reference)
+                target[window[0], window[1], :] = planted
+                labels[window] = 1
 
-    labels = np.zeros((spec.height, spec.width), dtype=np.uint8)
-    for rect in spec.anomalies:
-        window = (slice(rect.y, rect.y + rect.h), slice(rect.x, rect.x + rect.w))
-        insert = rect.mode == "insert_t2"
-        target = y_clean if insert else x_clean
-        local_reference = target[window].reshape(-1, spec.bands).mean(axis=0)
-        planted = _anomaly_spectrum(rng, spec.bands, condition, insert, local_reference)
-        target[window[0], window[1], :] = planted
-        labels[window] = 1
-
-    noise_shape = (spec.height, spec.width, spec.bands)
-    x_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
-    y_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
-    return HyperCube(x_clean), HyperCube(y_clean), GroundTruthMask(labels)
+            noise_shape = (spec.height, spec.width, spec.bands)
+            x_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
+            y_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
+    except (FloatingPointError, OverflowError) as exc:  # OverflowError: from rng.uniform
+        raise NumericalError(f"scene spec overflows float64: {exc}") from exc
+    x_cube = HyperCube(x_clean)
+    del x_clean  # the cube keeps its own float32-rounded copy
+    return x_cube, HyperCube(y_clean), GroundTruthMask(labels)
 
 
 def describe(spec: SceneSpec) -> str:

@@ -1,4 +1,7 @@
-"""Shared test oracles: finite-difference gradients, a step-by-step trainer and rank-based AUC."""
+"""Shared test oracles: finite-difference gradients, a step-by-step trainer, rank-based AUC
+and a tracemalloc peak."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -169,3 +172,17 @@ def reference_kmeans_1d(values, k: int):
     rank = np.empty(k, dtype=np.int64)
     rank[order] = np.arange(k)
     return centers[order], rank[assignments]
+
+
+def peak_in_pixel_matrices(fn, cube) -> float:
+    """tracemalloc peak of `fn()`, in units of one float64 pixel matrix of `cube`.
+
+    `cube` is anything with `height`, `width` and `bands`: a HyperCube or a SceneSpec.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (cube.height * cube.width * cube.bands * 8)

@@ -1,7 +1,6 @@
 """Dual-predictor pipeline: training, prediction, loss maps, fusion, repeats."""
 
 import functools
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +31,7 @@ from acdkit.neural import (
 )
 from acdkit.synth import AnomalyRect, SceneSpec, generate
 
-from helpers import assert_same_net, reference_train
+from helpers import assert_same_net, peak_in_pixel_matrices, reference_train
 
 
 def _sampled(img_in, img_out, count, seed=0):
@@ -445,17 +444,6 @@ class TestRunAcda:
                 run_acda(x, y, _run_cfg(epochs=2))
 
 
-def _peak_in_pixel_matrices(fn, cube) -> float:
-    """tracemalloc peak of `fn()`, in units of one float64 pixel matrix of `cube`."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (cube.height * cube.width * cube.bands * 8)
-
-
 class TestPeakMemory:
     """Scoring and pre-detection work on views of the cubes, not float64 copies.
 
@@ -489,18 +477,18 @@ class TestPeakMemory:
     def test_run_acda_peak_is_at_most_three_pixel_matrices(self, scene):
         x, y, _ = scene
         cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
-        assert _peak_in_pixel_matrices(lambda: run_acda(x, y, cfg), x) <= 3.0
+        assert peak_in_pixel_matrices(lambda: run_acda(x, y, cfg), x) <= 3.0
 
     def test_prepare_samples_peak_is_at_most_three_pixel_matrices(self, scene):
         x, y, _ = scene
         cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
-        assert _peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 3.0
+        assert peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 3.0
 
     def test_scoring_peak_is_below_two_pixel_matrices(self, scene):
         x, y, _ = scene
         predict = functools.partial(predict_image, init_params(default_shape(x.bands), seed=3))
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
-        assert _peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 2.0
+        assert peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 2.0
 
     def test_scoring_holds_row_blocks_not_pixel_matrices(self, large_scene):
         # Predicting the whole image first would hold at least one pixel matrix.
@@ -509,26 +497,26 @@ class TestPeakMemory:
         net = functools.partial(predict_image, init_params(default_shape(x.bands), seed=3))
         cc = fit_cc(fx, fy).predict
         for predict in (net, cc):
-            assert _peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 0.5
+            assert peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 0.5
 
     def test_diff_rx_peak_is_below_three_and_a_half_pixel_matrices(self, scene):
         x, y, _ = scene
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
-        assert _peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 3.5
+        assert peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 3.5
 
     def test_prepare_samples_holds_one_pixel_matrix(self, large_scene):
         x, y, _ = large_scene
         cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
-        assert _peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 1.5
+        assert peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 1.5
 
     def test_diff_rx_holds_the_difference_and_row_blocks(self, large_scene):
         x, y, _ = large_scene
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
-        assert _peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 1.5
+        assert peak_in_pixel_matrices(lambda: diff_rx(fx, fy, plane), x) <= 1.5
 
     def test_cc_holds_one_pixel_matrix(self, large_scene):
         x, y, _ = large_scene
-        assert _peak_in_pixel_matrices(lambda: run_baseline("cc", x, y), x) <= 1.5
+        assert peak_in_pixel_matrices(lambda: run_baseline("cc", x, y), x) <= 1.5
 
 
 class TestPrepareSamples:

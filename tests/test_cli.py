@@ -174,6 +174,19 @@ class TestSynth:
         assert len(lines) == 1 and lines[0].startswith("error: cube peak")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override", [{"condition": "affine", "condition_strength": 1e308},
+                                          {"noise_sigma": 1e308}], ids=["strength", "noise"])
+    def test_float64_overflow_is_numerical_error(self, tmp_path, capsys, override):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 8, "width": 8, "bands": 4, "seed": 1, **override}),
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", str(spec), "--out", str(tmp_path / "o")]) == 3
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: scene spec overflows float64")
+        assert not (tmp_path / "o").exists()
+
     def test_undecodable_spec_is_one_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"height": \xff}')

@@ -12,7 +12,17 @@ from acdkit.baselines import diff_rx, run_baseline
 from acdkit.core import flatten
 from acdkit.errors import DataIOError, ValidationError
 from acdkit.neural import NetworkShape, TrainConfig
-from acdkit.synth import AnomalyRect, SceneSpec, describe, generate
+from acdkit.synth import (
+    _TANH_SHARPNESS,
+    CONDITIONS,
+    AnomalyRect,
+    SceneSpec,
+    _fit_condition,
+    describe,
+    generate,
+)
+
+from helpers import peak_in_pixel_matrices
 
 
 def _spec(**overrides):
@@ -182,6 +192,67 @@ class TestGenerate:
     def test_noise_separates_acquisitions(self):
         x, y, _ = generate(_spec(condition="identical", condition_strength=0.0))
         assert not np.array_equal(x.data, y.data)  # independent noise draws
+
+
+class TestConditionMap:
+    """`apply` is one transform for every condition, pinned bit for bit to
+    each condition's closed-form expression."""
+
+    BACKGROUND = np.random.default_rng(0).uniform(0.2, 2.0, (16, 20, 8))
+
+    def _fit(self, condition):
+        spec = _spec(condition=condition, condition_strength=0.8)
+        return _fit_condition(self.BACKGROUND, spec, np.random.default_rng(5))
+
+    @pytest.fixture(params=[(), (3, 4)], ids=["cube", "spectrum"])
+    def values(self, request):
+        return self.BACKGROUND[request.param].copy()
+
+    def test_identical_returns_the_input_bytes(self, values):
+        out = self._fit("identical").apply(values)
+        assert out is not values
+        assert out.tobytes() == values.tobytes()
+
+    def test_identical_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        _fit_condition(np.ones((4, 8)), _spec(condition="identical"), rng)
+        assert rng.bit_generator.state == state
+
+    def test_affine_is_gains_times_values_plus_offsets(self, values):
+        condition = self._fit("affine")
+        assert len(condition.amps) == 0
+        expected = values * condition.gains + condition.offsets
+        assert condition.apply(values).tobytes() == expected.tobytes()
+
+    def test_nonlinear_adds_the_scaled_sum_of_knees(self, values):
+        condition = self._fit("nonlinear")
+        before = values.copy()
+        (k0, k1), (a0, a1), (c0, c1) = _TANH_SHARPNESS, condition.amps, condition.centers
+        out = values * condition.gains + condition.offsets
+        expected = out + condition.strength * (
+            a0 * np.tanh(k0 * (out - c0)) + a1 * np.tanh(k1 * (out - c1))
+        )
+        assert condition.apply(values).tobytes() == expected.tobytes()
+        assert_array_equal(values, before)
+
+
+class TestPeakMemory:
+    """`generate` holds at most four cubes besides the abundance fields (6/40
+    of a cube here): the background, which becomes the first acquisition,
+    the second, and, for a nonlinear condition, the transform's bend and one
+    knee term. Building the second HyperCube holds the first HyperCube, the
+    second clean cube, its float32 rounding and the result: 3.5. Measured:
+    4.16 (nonlinear) and 3.65. A copy of the background, a second knee
+    temporary, or the first clean cube kept past its HyperCube adds half a
+    cube or more."""
+
+    @pytest.mark.parametrize("condition", CONDITIONS)
+    def test_generate_peak_is_at_most_four_and_a_half_cubes(self, condition):
+        spec = SceneSpec(128, 128, 40, n_endmembers=6, condition=condition,
+                         condition_strength=0.8, noise_sigma=0.01, seed=1)
+        generate(replace(spec, height=8, width=8))  # first-call allocations are not the scene's
+        assert peak_in_pixel_matrices(lambda: generate(spec), spec) <= 4.5
 
 
 class TestDescribe:
