@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HyperCube, IntensityMap, _check_cubes, _require_int, _row_blocks, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _pixel_map, _require_int, flatten
 from .errors import NumericalError, ValidationError
 from .neural import (
     MlpParams,
     NetworkShape,
     SampleSet,
     TrainConfig,
+    _forward,
     derived_seed,
     train_lockstep,
 )
@@ -92,23 +93,16 @@ class AcdaRun:
 
 
 def predict_image(params: MlpParams, rows: np.ndarray) -> np.ndarray:
-    """Row-wise forward pass over an (M, Q) pixel matrix.
+    """Row-wise forward pass (`neural._forward`) over an (M, Q) pixel matrix.
 
-    Only the current layer's activations are held; `loss_map` calls this on
-    one row block at a time.
+    `loss_map` calls this on one row block at a time.
     """
-    current = np.asarray(rows, dtype=np.float64)
-    if current.ndim != 2 or current.shape[1] != params.input_dim:
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != params.input_dim:
         raise ValidationError(
-            f"image shape {current.shape} does not match network input {params.input_dim}"
+            f"image shape {rows.shape} does not match network input {params.input_dim}"
         )
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        current = current @ w.T
-        current += b
-        if i < last:
-            np.maximum(current, 0.0, out=current)
-    return current
+    return _forward(params.weights, params.biases, rows)[0]
 
 
 def loss_map(
@@ -119,7 +113,7 @@ def loss_map(
 ) -> IntensityMap:
     """Per-pixel mean squared error over bands of predict(source) against target, as (H, W).
 
-    Rows are predicted and scored one `core._row_blocks` block at a time,
+    Rows are predicted and scored one `core._pixel_map` block at a time,
     so each row's loss is the one a whole-matrix pass gives, bit for bit.
     `predict` maps a (rows, Q) block to a new (rows, Q) array, which is
     overwritten. A non-finite loss raises NumericalError.
@@ -128,12 +122,8 @@ def loss_map(
     target = np.asarray(target, dtype=np.float64)
     if source.shape != target.shape or source.ndim != 2:
         raise ValidationError(f"matrices disagree: {source.shape} vs {target.shape}")
-    height, width = int(shape[0]), int(shape[1])
-    rows = source.shape[0]
-    if height * width != rows:
-        raise ValidationError(f"shape {shape} does not cover {rows} pixels")
-    per_pixel = np.empty(rows)
-    for part in _row_blocks(rows):
+
+    def score(part: slice) -> np.ndarray:
         block = predict(source[part])
         if block.shape != target[part].shape:
             raise ValidationError(
@@ -141,10 +131,9 @@ def loss_map(
             )
         block -= target[part]
         np.square(block, out=block)
-        np.mean(block, axis=1, out=per_pixel[part])
-    if not np.all(np.isfinite(per_pixel)):
-        raise NumericalError("loss map contains NaN or Inf values")
-    return IntensityMap(per_pixel.reshape(height, width))
+        return np.mean(block, axis=1)
+
+    return _pixel_map(score, source.shape[0], shape)
 
 
 def fuse_min(i1: IntensityMap, i2: IntensityMap) -> IntensityMap:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acda import fuse_min, loss_map
-from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, _row_blocks, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, flatten
 from .errors import ValidationError
-from .linalg import _center_in_place, inv_sqrt, mean_cov, sym_sqrt
+from .linalg import _center_in_place, _whitened_norms, inv_sqrt, mean_cov, sym_sqrt
 
 BASELINE_KINDS = ("cc", "ce")
 
@@ -60,28 +60,19 @@ def diff_rx(
     """Mahalanobis distance of each pixel's difference to the difference statistics.
 
     score_i = ||(d_i - mu_d) W||^2 with d = x - y and W = inv_sqrt(cov_d, ridge),
-    the whitened RX of Reed & Yu (1990). W is computed once, and the centered
-    difference is whitened and scored one `core._row_blocks` block at a time.
-    Identical inputs score exactly zero. Inputs that differ by a constant
-    vector score zero only when the float32 subtraction is exact; otherwise
-    the whitening scales its rounding noise up to unit variance, so
-    `y = x + 0.3` on 8 x 8 x 5 pairs peaks at 10-29 (64 pixels can score at
-    most 63).
+    the whitened RX of Reed & Yu (1990), scored by `linalg._whitened_norms`.
+    The pixel-sized difference is freed once its covariance is taken. When
+    that covariance is zero (identical inputs, or a difference that is
+    exactly constant), W is zero and so is every score. Inputs that differ
+    by a constant vector score zero only when the float32 subtraction is
+    exact; otherwise the whitening scales its rounding noise up to unit
+    variance, so `y = x + 0.3` on 8 x 8 x 5 pairs peaks at 10-29 (64 pixels
+    can score at most 63).
     """
     x, y = _check_pair(x, y)
-    height, width = int(shape[0]), int(shape[1])
-    if height * width != x.shape[0]:
-        raise ValidationError(f"shape {shape} does not cover {x.shape[0]} pixels")
-    diff = x - y
-    cov = _center_in_place(diff).cov
-    if not np.any(diff):
-        return IntensityMap(np.zeros((height, width)))
-    whitener = inv_sqrt(cov, ridge)
-    scores = np.empty(x.shape[0])
-    for part in _row_blocks(x.shape[0]):
-        white = diff[part] @ whitener
-        np.einsum("ij,ij->i", white, white, out=scores[part])
-    return IntensityMap(scores.reshape(height, width))
+    stats = _center_in_place(x - y)
+    whitener = inv_sqrt(stats.cov, ridge) if np.any(stats.cov) else np.zeros_like(stats.cov)
+    return _whitened_norms(x, y, stats.mean, whitener, shape)
 
 
 def fit_cc(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPredictor:

@@ -124,18 +124,27 @@ def flatten(cube: HyperCube) -> np.ndarray:
     return cube.data.reshape(h * w, q)
 
 
-def _row_blocks(rows: int):
-    """Yield slices that cover `rows` rows in order, `_BLOCK` rows at a time.
+def _pixel_map(score, rows: int, shape: tuple[int, int]) -> IntensityMap:
+    """Build the (H, W) map of `rows` per-pixel scores, `_BLOCK` rows at a time.
 
-    The last slice also takes a remainder shorter than `_BLOCK`, so no BLAS
-    call sees a short block and each row's score is the one a whole-matrix
-    pass gives, bit for bit.
+    `score(part)` returns the scores of the rows in slice `part`. The last
+    slice also takes a remainder shorter than `_BLOCK`, so no BLAS call sees
+    a short block and each row's score is the one a whole-matrix pass gives,
+    bit for bit. A shape that does not cover `rows` raises ValidationError,
+    a non-finite score NumericalError.
     """
+    height, width = int(shape[0]), int(shape[1])
+    if height * width != rows:
+        raise ValidationError(f"shape {shape} does not cover {rows} pixels")
+    scores = np.empty(rows)
     start = 0
     while start < rows:
         stop = start + _BLOCK if rows - start >= 2 * _BLOCK else rows
-        yield slice(start, stop)
+        scores[start:stop] = score(slice(start, stop))
         start = stop
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("scores contain NaN or Inf values")
+    return IntensityMap(scores.reshape(height, width))
 
 
 def _is_int(value) -> bool:

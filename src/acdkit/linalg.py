@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require_number
+from .core import IntensityMap, _pixel_map, _require_number
 from .errors import NumericalError, ValidationError
 
 _SYMMETRY_RTOL = 1e-9
@@ -80,6 +80,22 @@ def _center_in_place(m: np.ndarray) -> Stats:
     m -= mean
     cov = m.T @ m / rows
     return Stats(mean=mean, cov=(cov + cov.T) / 2.0)
+
+
+def _whitened_norms(
+    x: np.ndarray, y: np.ndarray, mean: np.ndarray, whitener: np.ndarray, shape: tuple[int, int]
+) -> IntensityMap:
+    """Squared norm of each row of ((x - y) - mean) @ whitener, as an (H, W) map.
+
+    The difference is formed, centered and whitened one `core._pixel_map`
+    block at a time, so no pixel-sized temporary is held.
+    """
+
+    def score(part: slice) -> np.ndarray:
+        white = ((x[part] - y[part]) - mean) @ whitener
+        return np.einsum("ij,ij->i", white, white)
+
+    return _pixel_map(score, x.shape[0], shape)
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

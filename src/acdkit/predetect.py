@@ -1,8 +1,8 @@
 """Slow-feature pre-detection and cluster-based training-sample selection.
 
 Fits a slow-feature transform to a co-registered image pair, scores every
-pixel by the standardized squared projected difference, clusters the scores
-with a deterministic 1-D K-means, and draws aligned training pairs from the
+pixel as Diff-RX restricted to the slow features, clusters the scores with
+a deterministic 1-D K-means, and draws aligned training pairs from the
 lowest-score cluster (the pixels most likely to be unchanged background).
 """
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityMap, _check_pair, _row_blocks
+from .core import IntensityMap, _check_pair
 from .errors import NumericalError, ValidationError
-from .linalg import _center_in_place, generalized_eigh, mean_cov
+from .linalg import _center_in_place, _whitened_norms, generalized_eigh, mean_cov
 from .neural import SampleSet
 
 logger = logging.getLogger(__name__)
@@ -31,22 +31,20 @@ class UsfaModel:
 
     `projection` rows are the retained generalized eigenvectors (slowest
     first); `eigenvalues` are the matching generalized eigenvalues in
-    ascending order. `fallback` records that no eigenvalue satisfied the
-    lambda < 1 retention rule and the single slowest component was kept
-    instead.
+    ascending order; `mean` is the mean of the difference x - y. `fallback`
+    records that no eigenvalue satisfied the lambda < 1 retention rule and
+    the single slowest component was kept instead.
     """
 
     projection: np.ndarray  # (K, Q)
     eigenvalues: np.ndarray  # (K,) ascending
-    mean_x: np.ndarray  # (Q,)
-    mean_y: np.ndarray  # (Q,)
+    mean: np.ndarray  # (Q,)
     fallback: bool = False
 
     def __post_init__(self):
         proj = np.asarray(self.projection, dtype=np.float64)
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        mx = np.asarray(self.mean_x, dtype=np.float64)
-        my = np.asarray(self.mean_y, dtype=np.float64)
+        mean = np.asarray(self.mean, dtype=np.float64)
         if proj.ndim != 2 or proj.shape[0] < 1:
             raise ValidationError("projection must be a K x Q matrix with K >= 1")
         if vals.shape != (proj.shape[0],):
@@ -55,15 +53,14 @@ class UsfaModel:
             raise ValidationError("eigenvalues must be ascending")
         if not self.fallback and np.any(vals >= 1.0):
             raise ValidationError("retained eigenvalues must satisfy lambda < 1")
-        if mx.shape != (proj.shape[1],) or my.shape != (proj.shape[1],):
-            raise ValidationError("mean vectors must have length Q")
-        for name, arr in (("projection", proj), ("eigenvalues", vals), ("mean_x", mx), ("mean_y", my)):
+        if mean.shape != (proj.shape[1],):
+            raise ValidationError("mean vector must have length Q")
+        for name, arr in (("projection", proj), ("eigenvalues", vals), ("mean", mean)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} contains non-finite entries")
         object.__setattr__(self, "projection", proj)
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "mean_x", mx)
-        object.__setattr__(self, "mean_y", my)
+        object.__setattr__(self, "mean", mean)
 
 
 @dataclass(frozen=True)
@@ -86,9 +83,9 @@ def usfa_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> UsfaMo
     x, y = _check_pair(x, y)
     stats_x = mean_cov(x)
     stats_y = mean_cov(y)
-    slow = _center_in_place(x - y).cov
+    slow = _center_in_place(x - y)
     shared = 0.5 * (stats_x.cov + stats_y.cov)
-    values, vectors = generalized_eigh(slow, shared, ridge)
+    values, vectors = generalized_eigh(slow.cov, shared, ridge)
     keep = values < 1.0
     fallback = not bool(np.any(keep))
     if fallback:
@@ -97,8 +94,7 @@ def usfa_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> UsfaMo
     return UsfaModel(
         projection=vectors[:, keep].T,
         eigenvalues=values[keep],
-        mean_x=stats_x.mean,
-        mean_y=stats_y.mean,
+        mean=slow.mean,
         fallback=fallback,
     )
 
@@ -108,26 +104,19 @@ def usfa_intensity(
 ) -> IntensityMap:
     """Per-pixel change score under a fitted model, reshaped to (H, W).
 
-    score_i = sum_k [p_k . ((x_i - mu_x) - (y_i - mu_y))]^2 / max(lambda_k, 1e-12),
-    a chi-square-style statistic over the retained slow features. Identical
-    inputs therefore score exactly zero. Pixels are scored one
-    `core._row_blocks` block at a time.
+    score_i = sum_k [p_k . (d_i - mu_d)]^2 / max(lambda_k, 1e-12) with d = x - y:
+    Diff-RX restricted to the retained slow features, scored by
+    `linalg._whitened_norms` with whitener column k = p_k / sqrt(max(lambda_k, 1e-12)).
+    With all Q components kept it is the Diff-RX score, since
+    V diag(1/lambda) V^T = cov(x - y)^-1. Identical inputs score exactly zero.
     """
     x, y = _check_pair(x, y)
     if x.shape[1] != model.projection.shape[1]:
         raise ValidationError(
             f"model expects {model.projection.shape[1]} bands, got {x.shape[1]}"
         )
-    height, width = int(shape[0]), int(shape[1])
-    if height * width != x.shape[0]:
-        raise ValidationError(f"shape {shape} does not cover {x.shape[0]} pixels")
-    scale = np.maximum(model.eigenvalues, _EIGENVALUE_FLOOR)
-    scores = np.empty(x.shape[0])
-    for part in _row_blocks(x.shape[0]):
-        diff = (x[part] - model.mean_x) - (y[part] - model.mean_y)
-        projected = diff @ model.projection.T
-        np.sum(projected * projected / scale, axis=1, out=scores[part])
-    return IntensityMap(scores.reshape(height, width))
+    whitener = model.projection.T / np.sqrt(np.maximum(model.eigenvalues, _EIGENVALUE_FLOOR))
+    return _whitened_norms(x, y, model.mean, whitener, shape)
 
 
 def _init_centers(values: np.ndarray, k: int) -> np.ndarray:

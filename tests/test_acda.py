@@ -448,14 +448,14 @@ class TestPeakMemory:
     """Scoring and pre-detection work on views of the cubes, not float64 copies.
 
     On the 64 x 64 x 16 scene the peaks measure about 2.0 (the run, set by
-    training's buffers, which do not grow with the image), 1.15
-    (pre-detection), 0.7 (scoring one net) and 1.58 (Diff-RX) pixel
+    training's buffers, which do not grow with the image), 1.14
+    (pre-detection), 0.77 (scoring one net) and 1.13 (Diff-RX) pixel
     matrices; a float64 copy of both cubes adds 2, and scoring that predicts
     the whole image first reaches 1 or more. On the 128 x 128 x 16 scene a
     1024-row block is 1/16 of the image: scoring one net or one CC direction
-    measures about 0.2 and 0.3, pre-detection 1.03 (the difference whose
-    covariance it takes), Diff-RX 1.19 (the difference and one whitened
-    block) and both CC directions with their scoring 1.10 (the centered x).
+    measures about 0.24 and 0.3, pre-detection and Diff-RX 1.03 (the
+    difference whose covariance they take) and both CC directions with their
+    scoring 1.10 (the centered x).
     Centering a copy of the difference adds one pixel matrix to either, and
     centering y beside x adds one to CC.
     """

@@ -12,9 +12,8 @@ from acdkit.baselines import (
     fit_ce,
     run_baseline,
 )
-from acdkit.core import HyperCube
+from acdkit.core import HyperCube, _pixel_map
 from acdkit.errors import ValidationError
-from acdkit.core import _row_blocks
 from acdkit.linalg import default_ridge, inv_sqrt, mean_cov
 
 
@@ -36,6 +35,15 @@ class TestDiffRx:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(48, 5))
         scores = diff_rx(x, x.copy(), (6, 8))
+        assert_array_equal(scores.values, np.zeros((6, 8)))
+
+    def test_exact_constant_difference_scores_zero(self):
+        # Every value and every sum is exact in float32, so the difference is
+        # exactly constant, its covariance is zero, and so is every score.
+        rng = np.random.default_rng(4)
+        x = rng.integers(-400, 400, size=(48, 5)) / 8.0
+        y = x + np.array([0.5, -2.0, 0.25, 3.0, 1.0])
+        scores = diff_rx(x, y, (6, 8))
         assert_array_equal(scores.values, np.zeros((6, 8)))
 
     def test_gaussian_differences_average_near_band_count(self):
@@ -81,13 +89,15 @@ class TestDiffRx:
         whole = np.einsum("ij,ij->i", white, white)
         rows = []
 
-        def recording(count):
-            parts = list(_row_blocks(count))
-            rows.extend(part.stop - part.start for part in parts)
-            return parts
+        def recording(score, count, shape):
+            def counted(part):
+                rows.append(part.stop - part.start)
+                return score(part)
+
+            return _pixel_map(counted, count, shape)
 
         monkeypatch.setattr("acdkit.core._BLOCK", 7)
-        monkeypatch.setattr("acdkit.baselines._row_blocks", recording)
+        monkeypatch.setattr("acdkit.linalg._pixel_map", recording)
         blocked = diff_rx(x, y, (5, 6)).values.ravel()
         assert rows == [7, 7, 7, 9]
         assert blocked.tobytes() == whole.tobytes()

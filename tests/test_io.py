@@ -10,6 +10,7 @@ from acdkit.core import (
     GroundTruthMask,
     HyperCube,
     IntensityMap,
+    _pixel_map,
     cube_to_map,
     flatten,
     map_to_cube,
@@ -153,6 +154,31 @@ class TestFlatten:
     def test_is_a_view_of_the_cube(self):
         cube = HyperCube(np.ones((3, 4, 2), dtype=np.float32))
         assert np.shares_memory(flatten(cube), cube.data)
+
+
+class TestPixelMap:
+    def test_blocks_fold_a_short_tail_into_the_last(self, monkeypatch):
+        # 30 rows in blocks of 7: the last block takes the remainder, 9 rows.
+        parts = []
+
+        def score(part):
+            parts.append(part)
+            return np.arange(part.start, part.stop, dtype=np.float64)
+
+        monkeypatch.setattr("acdkit.core._BLOCK", 7)
+        result = _pixel_map(score, 30, (5, 6))
+        assert [part.stop - part.start for part in parts] == [7, 7, 7, 9]
+        assert_array_equal(result.values, np.arange(30.0).reshape(5, 6))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_is_numerical_error(self, bad):
+        def score(part):
+            values = np.ones(part.stop - part.start)
+            values[-1] = bad
+            return values
+
+        with pytest.raises(NumericalError, match="NaN or Inf"):
+            _pixel_map(score, 12, (3, 4))
 
 
 class TestReadMask:

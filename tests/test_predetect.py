@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from acdkit.baselines import diff_rx
 from acdkit.core import IntensityMap
 from acdkit.errors import ValidationError
 from acdkit.predetect import (
@@ -81,8 +82,7 @@ class TestUsfaFit:
             UsfaModel(
                 projection=np.eye(2),
                 eigenvalues=np.array([0.5, 0.1]),
-                mean_x=np.zeros(2),
-                mean_y=np.zeros(2),
+                mean=np.zeros(2),
             )
 
     def test_model_rejects_fast_eigenvalues_without_fallback(self):
@@ -90,8 +90,7 @@ class TestUsfaFit:
             UsfaModel(
                 projection=np.eye(2),
                 eigenvalues=np.array([0.5, 1.5]),
-                mean_x=np.zeros(2),
-                mean_y=np.zeros(2),
+                mean=np.zeros(2),
             )
 
 
@@ -119,12 +118,23 @@ class TestUsfaIntensity:
         model = usfa_fit(x, y)
         scores = usfa_intensity(model, x, y, (4, 5)).values.ravel()
         for i in range(20):
-            diff = (x[i] - model.mean_x) - (y[i] - model.mean_y)
+            diff = (x[i] - y[i]) - model.mean
             total = 0.0
             for k in range(model.projection.shape[0]):
                 projected = float(model.projection[k] @ diff)
                 total += projected**2 / max(model.eigenvalues[k], 1e-12)
             assert scores[i] == pytest.approx(total, rel=1e-12)
+
+    def test_every_component_kept_scores_diff_rx(self):
+        # With all Q generalized components, V diag(1/lambda) V^T = cov(x - y)^-1,
+        # so the slow-feature score is the Diff-RX score.
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(200, 5)) @ rng.normal(size=(5, 5))
+        y = x + rng.normal(scale=0.3, size=(200, 5))
+        model = usfa_fit(x, y, ridge=0.0)
+        assert model.projection.shape[0] == 5 and not model.fallback
+        scores = usfa_intensity(model, x, y, (10, 20)).values
+        assert_allclose(scores, diff_rx(x, y, (10, 20), ridge=0.0).values, rtol=1e-12)
 
     def test_band_mismatch(self):
         rng = np.random.default_rng(29)
@@ -147,9 +157,9 @@ class TestUsfaIntensity:
         y = x + rng.normal(scale=0.1, size=(30, 6))
         model = usfa_fit(x, y)
         assert model.projection.shape[0] > 1
-        diff = (x - model.mean_x) - (y - model.mean_y)
-        projected = diff @ model.projection.T
-        whole = np.sum(projected * projected / np.maximum(model.eigenvalues, 1e-12), axis=1)
+        whitener = model.projection.T / np.sqrt(np.maximum(model.eigenvalues, 1e-12))
+        white = ((x - y) - model.mean) @ whitener
+        whole = np.einsum("ij,ij->i", white, white)
         monkeypatch.setattr("acdkit.core._BLOCK", 7)
         blocked = usfa_intensity(model, x, y, (5, 6)).values.ravel()
         assert blocked.tobytes() == whole.tobytes()
