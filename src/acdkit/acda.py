@@ -10,12 +10,11 @@ to stabilize it.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HyperCube, IntensityMap, _check_cubes, _pixel_map, _require_int, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _require_int, flatten, fuse_min, loss_map
 from .errors import NumericalError, ValidationError
 from .neural import (
     MlpParams,
@@ -95,7 +94,7 @@ class AcdaRun:
 def predict_image(params: MlpParams, rows: np.ndarray) -> np.ndarray:
     """Row-wise forward pass (`neural._forward`) over an (M, Q) pixel matrix.
 
-    `loss_map` calls this on one row block at a time.
+    `core.loss_map` calls this on one row block at a time.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != params.input_dim:
@@ -103,46 +102,6 @@ def predict_image(params: MlpParams, rows: np.ndarray) -> np.ndarray:
             f"image shape {rows.shape} does not match network input {params.input_dim}"
         )
     return _forward(params.weights, params.biases, rows)[0]
-
-
-def loss_map(
-    predict: Callable[[np.ndarray], np.ndarray],
-    source: np.ndarray,
-    target: np.ndarray,
-    shape: tuple[int, int],
-) -> IntensityMap:
-    """Per-pixel mean squared error over bands of predict(source) against target, as (H, W).
-
-    Rows are predicted and scored one `core._pixel_map` block at a time,
-    so each row's loss is the one a whole-matrix pass gives, bit for bit.
-    `predict` maps a (rows, Q) block to a new (rows, Q) array, which is
-    overwritten. A non-finite loss raises NumericalError.
-    """
-    source = np.asarray(source, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if source.shape != target.shape or source.ndim != 2:
-        raise ValidationError(f"matrices disagree: {source.shape} vs {target.shape}")
-
-    def score(part: slice) -> np.ndarray:
-        block = predict(source[part])
-        if block.shape != target[part].shape:
-            raise ValidationError(
-                f"matrices disagree: prediction {block.shape} vs {target[part].shape}"
-            )
-        block -= target[part]
-        np.square(block, out=block)
-        return np.mean(block, axis=1)
-
-    return _pixel_map(score, source.shape[0], shape)
-
-
-def fuse_min(i1: IntensityMap, i2: IntensityMap) -> IntensityMap:
-    """Elementwise minimum of two loss maps."""
-    if i1.values.shape != i2.values.shape:
-        raise ValidationError(
-            f"maps disagree: {i1.values.shape} vs {i2.values.shape}"
-        )
-    return IntensityMap(np.minimum(i1.values, i2.values))
 
 
 def prepare_samples(x_cube: HyperCube, y_cube: HyperCube, cfg: AcdaConfig) -> SampleSet:

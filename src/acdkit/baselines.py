@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acda import fuse_min, loss_map
-from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, flatten
+from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, flatten, fuse_min, loss_map
 from .errors import ValidationError
 from .linalg import _center_in_place, _whitened_norms, inv_sqrt, mean_cov, sym_sqrt
 

@@ -3,6 +3,7 @@
 Every command writes a run manifest with content digests of its inputs and
 outputs; stdout carries machine-readable key=value lines and diagnostics go
 to stderr. Exit codes: 1 configuration/validation, 2 I/O, 3 numerical.
+Each command imports only the modules it runs, inside its `cmd_*` function.
 """
 
 from __future__ import annotations
@@ -10,14 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .acda import AcdaConfig, prepare_samples, run_acda
-from .baselines import diff_rx, run_baseline
 from .core import (
     IntensityMap,
     _check_cubes,
@@ -33,20 +31,9 @@ from .core import (
     write_mask,
 )
 from .errors import AcdkitError, DataIOError, NumericalError, ValidationError
-from .evaluate import export_curve, export_map_pgm, roc
-from .linalg import _require_ridge
-from .neural import NetworkShape, TrainConfig
-from .synth import SceneSpec, describe, generate
 
 _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_lambda")
 _RUN_KEYS = ("sample_count", "repeats", "base_seed")
-_RUN_DEFAULTS = AcdaConfig()
-# A sweep's grid supplies h1/h2, so its shared settings are every ACDA key but those.
-_SWEEP_DEFAULTS = {
-    **{key: getattr(_RUN_DEFAULTS.train, key) for key in _TRAIN_KEYS},
-    **{key: getattr(_RUN_DEFAULTS, key) for key in _RUN_KEYS},
-}
-_ACDA_DEFAULTS = {"h1": None, "h2": None, **_SWEEP_DEFAULTS}
 _LINEAR_DEFAULTS = {"ridge": None}
 
 
@@ -133,12 +120,26 @@ def _load_config(defaults: dict, data: dict, overrides: list[str]) -> dict:
     return merged
 
 
-def _acda_config(conf: dict, bands: int) -> AcdaConfig:
+def _sweep_defaults() -> dict:
+    """Every ACDA setting but h1/h2, which a sweep's grid supplies, as `AcdaConfig()` sets it."""
+    from .acda import AcdaConfig
+
+    run = AcdaConfig()
+    return {
+        **{key: getattr(run.train, key) for key in _TRAIN_KEYS},
+        **{key: getattr(run, key) for key in _RUN_KEYS},
+    }
+
+
+def _acda_config(conf: dict, bands: int):
     """The run config of merged settings `conf`; the dataclasses check every value.
 
     `h1`/`h2` set together give the bottleneck; both unset leave `shape=None`,
     the run config's default shape for the cube's band count.
     """
+    from .acda import AcdaConfig
+    from .neural import NetworkShape, TrainConfig
+
     if (conf["h1"] is None) != (conf["h2"] is None):
         raise ValidationError("h1 and h2 must be set together")
     shape = None if conf["h1"] is None else NetworkShape.bottleneck(bands, conf["h1"], conf["h2"])
@@ -154,6 +155,8 @@ def _read_pair(x_path, y_path):
 
 
 def cmd_synth(args) -> int:
+    from .synth import SceneSpec, describe, generate
+
     started = time.perf_counter()
     spec = SceneSpec.from_json_file(args.spec)
     x_cube, y_cube, mask = generate(spec)
@@ -194,7 +197,9 @@ def cmd_detect(args) -> int:
     maps: dict[str, IntensityMap] = {}
     texts: dict[str, tuple[str, str]] = {}
     if args.method == "acda":
-        conf = _load_config(_ACDA_DEFAULTS, data, args.set)
+        from .acda import prepare_samples, run_acda
+
+        conf = _load_config({"h1": None, "h2": None, **_sweep_defaults()}, data, args.set)
         cfg = _acda_config(conf, x_cube.bands)
         shape = cfg.resolved_shape(x_cube.bands)
         samples = prepare_samples(x_cube, y_cube, cfg)
@@ -213,6 +218,9 @@ def cmd_detect(args) -> int:
         snapshot["h1"], snapshot["h2"] = shape.hidden[:2]
         snapshot["resolved_sample_count"] = samples.size
     else:
+        from .baselines import diff_rx, run_baseline
+        from .linalg import _require_ridge
+
         conf = _load_config(_LINEAR_DEFAULTS, data, args.set)
         ridge = conf["ridge"]
         if ridge is not None:
@@ -247,6 +255,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluate import export_curve, export_map_pgm, roc
+
     started = time.perf_counter()
     map_cube = read_cube(args.map)
     intensity = cube_to_map(map_cube)
@@ -263,6 +273,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import logging
+
+    from .acda import prepare_samples, run_acda
+    from .evaluate import roc
+
     started = time.perf_counter()
     x_cube, y_cube = _read_pair(args.x, args.y)
     mask = read_mask(args.mask, expected_shape=(x_cube.height, x_cube.width))
@@ -276,7 +291,7 @@ def cmd_sweep(args) -> int:
             )
         axes.append(sorted(set(values), reverse=True))
     h1_values, h2_values = axes
-    conf = _load_config(_SWEEP_DEFAULTS, grid, args.set)
+    conf = _load_config(_sweep_defaults(), grid, args.set)
     bands = x_cube.bands
     shared = _acda_config(dict(conf, h1=None, h2=None), bands)
     configs = {
@@ -378,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

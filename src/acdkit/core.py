@@ -10,11 +10,16 @@ every detector computes in; each value is a float32 value, so the container
 round-trips bit for bit and `flatten` is a zero-copy view. All types are
 immutable after construction; loading rejects non-finite values outright
 because every downstream statistic silently corrupts on NaN/Inf.
+
+Every detector's map goes through the one row-block loop here
+(`_pixel_map`); the predictors' per-pixel loss maps and their min fusion
+live next to it.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,9 +51,13 @@ class HyperCube:
             raise ValidationError(f"cube data must be 3-D (H, W, Q), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError(f"cube dimensions must all be >= 1, got {arr.shape}")
+        # The ufunc computes in float32, so each value is rounded through
+        # float32 in numpy's small cast buffers, not in a float32 cube.
+        values = np.empty(arr.shape)
         with np.errstate(over="ignore"):
-            values = arr.astype(np.float32, copy=False).astype(np.float64, order="C")
-        if not np.all(np.isfinite(values)):
+            np.positive(arr, out=values, dtype=np.float32, casting="unsafe")
+        # NaN and ±Inf reach the minimum or the maximum, so no whole-cube mask is needed.
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             # Only a failed check looks at the input again: NaN/Inf there is
             # bad data, a finite value beyond float32 is an overflow.
             peak = float(np.max(np.abs(arr)))
@@ -145,6 +154,46 @@ def _pixel_map(score, rows: int, shape: tuple[int, int]) -> IntensityMap:
     if not np.all(np.isfinite(scores)):
         raise NumericalError("scores contain NaN or Inf values")
     return IntensityMap(scores.reshape(height, width))
+
+
+def loss_map(
+    predict: Callable[[np.ndarray], np.ndarray],
+    source: np.ndarray,
+    target: np.ndarray,
+    shape: tuple[int, int],
+) -> IntensityMap:
+    """Per-pixel mean squared error over bands of predict(source) against target, as (H, W).
+
+    Rows are predicted and scored one `_pixel_map` block at a time,
+    so each row's loss is the one a whole-matrix pass gives, bit for bit.
+    `predict` maps a (rows, Q) block to a new (rows, Q) array, which is
+    overwritten. A non-finite loss raises NumericalError.
+    """
+    source = np.asarray(source, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if source.shape != target.shape or source.ndim != 2:
+        raise ValidationError(f"matrices disagree: {source.shape} vs {target.shape}")
+
+    def score(part: slice) -> np.ndarray:
+        block = predict(source[part])
+        if block.shape != target[part].shape:
+            raise ValidationError(
+                f"matrices disagree: prediction {block.shape} vs {target[part].shape}"
+            )
+        block -= target[part]
+        np.square(block, out=block)
+        return np.mean(block, axis=1)
+
+    return _pixel_map(score, source.shape[0], shape)
+
+
+def fuse_min(i1: IntensityMap, i2: IntensityMap) -> IntensityMap:
+    """Elementwise minimum of two loss maps."""
+    if i1.values.shape != i2.values.shape:
+        raise ValidationError(
+            f"maps disagree: {i1.values.shape} vs {i2.values.shape}"
+        )
+    return IntensityMap(np.minimum(i1.values, i2.values))
 
 
 def _is_int(value) -> bool:

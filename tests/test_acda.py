@@ -10,14 +10,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 from acdkit.acda import (
     AcdaConfig,
     default_shape,
-    fuse_min,
-    loss_map,
     predict_image,
     prepare_samples,
     run_acda,
 )
 from acdkit.baselines import diff_rx, fit_cc, run_baseline
-from acdkit.core import HyperCube, IntensityMap, flatten
+from acdkit.core import HyperCube, IntensityMap, flatten, fuse_min, loss_map
 from acdkit.errors import NumericalError, ValidationError
 from acdkit.neural import (
     MlpParams,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from acdkit.acda import loss_map
 from acdkit.baselines import (
     LinearPredictor,
     diff_rx,
@@ -12,7 +11,7 @@ from acdkit.baselines import (
     fit_ce,
     run_baseline,
 )
-from acdkit.core import HyperCube, _pixel_map
+from acdkit.core import HyperCube, _pixel_map, loss_map
 from acdkit.errors import ValidationError
 from acdkit.linalg import default_ridge, inv_sqrt, mean_cov
 

@@ -1,13 +1,18 @@
 """End-to-end command-line workflows on small synthetic scenes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import acdkit
 from acdkit.acda import AcdaConfig, run_acda
 from acdkit.cli import main
 from acdkit.core import (
@@ -476,16 +481,16 @@ class TestSweep:
 
     @staticmethod
     def _count_predetection(monkeypatch):
-        import acdkit.cli as cli_module
+        import acdkit.acda as acda_module
 
         calls = []
-        original = cli_module.prepare_samples
+        original = acda_module.prepare_samples
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "prepare_samples", counted)
+        monkeypatch.setattr(acda_module, "prepare_samples", counted)
         return calls
 
     def test_predetection_runs_once_and_table_is_unchanged(self, ws, tmp_path, monkeypatch):
@@ -705,3 +710,64 @@ class TestDispatch:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("acdkit ")
+
+
+# Run in a fresh interpreter: the command's exit code, the acdkit modules it
+# loaded, and whether `logging` was loaded, as the last line of stdout.
+_LOADED_BY = """
+import json, sys
+import acdkit.cli
+code = acdkit.cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "acdkit")
+print(json.dumps([code, loaded, "logging" in sys.modules]))
+"""
+_SHARED = {"acdkit", "acdkit.cli", "acdkit.core", "acdkit.errors"}
+_LINEAR = _SHARED | {"acdkit.linalg", "acdkit.baselines"}
+_ACDA = _SHARED | {"acdkit.linalg", "acdkit.neural", "acdkit.predetect", "acdkit.acda"}
+_LOADED = {
+    "synth": _SHARED | {"acdkit.synth"},
+    "eval": _SHARED | {"acdkit.evaluate"},
+    "cc": _LINEAR,
+    "ce": _LINEAR,
+    "diffrx": _LINEAR,
+    "acda": _ACDA,
+    "sweep": _ACDA | {"acdkit.evaluate"},
+}
+
+
+class TestImports:
+    @staticmethod
+    def _loaded_by(argv):
+        paths = [str(Path(acdkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run(
+            [sys.executable, "-c", _LOADED_BY, *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded, logging_loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0, done.stderr
+        return set(loaded), logging_loaded
+
+    @pytest.mark.parametrize("command", list(_LOADED))
+    def test_command_loads_only_its_modules(self, ws, tmp_path, command):
+        small = ws["small"]
+        x, y, truth = str(small["x"]), str(small["y"]), str(small["truth"])
+        if command == "synth":
+            argv = ["synth", str(small["spec_path"])]
+        elif command == "eval":
+            assert main(["detect", "cc", x, y, "--out", str(tmp_path / "cc")]) == 0
+            argv = ["eval", str(tmp_path / "cc" / "map.json"), truth]
+        elif command == "sweep":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"h1": [6], "h2": [4], "epochs": 1, "repeats": 1}),
+                            encoding="utf-8")
+            argv = ["sweep", x, y, truth, str(grid)]
+        elif command == "acda":
+            argv = ["detect", "acda", x, y, "--set", "epochs=1", "--set", "repeats=1"]
+        else:
+            argv = ["detect", command, x, y]
+        loaded, logging_loaded = self._loaded_by(argv + ["--out", str(tmp_path / "o")])
+        assert loaded == _LOADED[command]
+        if command not in ("acda", "sweep"):
+            assert not logging_loaded

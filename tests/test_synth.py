@@ -242,10 +242,9 @@ class TestPeakMemory:
     of a cube here): the background, which becomes the first acquisition,
     the second, and, for a nonlinear condition, the transform's bend and one
     knee term. Building the second HyperCube holds the first HyperCube, the
-    second clean cube, its float32 rounding and the result: 3.5. Measured:
-    4.16 (nonlinear) and 3.65. A copy of the background, a second knee
-    temporary, or the first clean cube kept past its HyperCube adds half a
-    cube or more."""
+    second clean cube and the result: 3. Measured: 4.16 (nonlinear) and
+    3.20. A copy of the background, a second knee temporary, or the first
+    clean cube kept past its HyperCube adds half a cube or more."""
 
     @pytest.mark.parametrize("condition", CONDITIONS)
     def test_generate_peak_is_at_most_four_and_a_half_cubes(self, condition):
