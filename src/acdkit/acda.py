@@ -21,62 +21,65 @@ from .neural import (
     NetworkShape,
     SampleSet,
     TrainConfig,
-    _forward,
+    _layers,
     derived_seed,
     train_lockstep,
 )
 from .predetect import default_sample_count, select_samples, usfa_fit, usfa_intensity
 
 
-def default_shape(bands: int) -> NetworkShape:
-    """Mirrored bottleneck scaled from the 127-band reference widths 60/40.
+def bottleneck(bands: int, h1: int | None = None, h2: int | None = None) -> NetworkShape:
+    """The predictor shape, a mirrored bottleneck Q -> h1 -> h2 -> h1 -> Q.
 
-    h1 = round(bands * 60/127), h2 = round(bands * 40/127), clamped so the
-    result still satisfies h2 < h1 < bands.
+    With both widths unset they are scaled from the 127-band reference
+    widths 60/40: h1 = round(bands * 60/127), h2 = round(bands * 40/127),
+    clamped so the result still satisfies h2 < h1 < bands. Set widths must
+    be integers with 0 < h2 < h1 < bands.
     """
-    if bands < 3:
-        raise ValidationError(f"need at least 3 bands for a bottleneck, got {bands}")
-    h1 = max(2, min(round(bands * 60 / 127), bands - 1))
-    h2 = max(1, min(round(bands * 40 / 127), h1 - 1))
-    return NetworkShape.bottleneck(bands, h1, h2)
+    if h1 is None and h2 is None:
+        if bands < 3:
+            raise ValidationError(f"need at least 3 bands for a bottleneck, got {bands}")
+        h1 = max(2, min(round(bands * 60 / 127), bands - 1))
+        h2 = max(1, min(round(bands * 40 / 127), h1 - 1))
+    else:
+        h1, h2 = _require_int(h1, "h1"), _require_int(h2, "h2")
+        if not 0 < h2 < h1 < bands:
+            raise ValidationError(
+                f"h1={h1}, h2={h2} do not form a bottleneck for {bands} bands "
+                "(need 0 < h2 < h1 < bands)"
+            )
+    return NetworkShape(bands, (h1, h2, h1), bands)
 
 
 @dataclass(frozen=True)
 class AcdaConfig:
-    """Run-level settings: network shape, training, sampling, and repeats.
+    """Run-level settings: bottleneck widths, training, sampling, and repeats.
 
-    `shape=None` derives the scaled bottleneck from the cube's band count at
-    run time; `sample_count=None` uses the 6%-of-scene default.
+    Unset `h1`/`h2` (set both or neither) are scaled by `bottleneck` from the
+    cube's band count; `sample_count=None` uses the 6%-of-scene default.
     """
 
-    shape: NetworkShape | None = None
+    h1: int | None = None
+    h2: int | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     sample_count: int | None = None
     repeats: int = 10
     base_seed: int = 0
 
     def __post_init__(self):
+        if (self.h1 is None) != (self.h2 is None):
+            raise ValidationError("h1 and h2 must be set together")
+        for name in ("h1", "h2", "sample_count"):
+            if getattr(self, name) is not None:
+                _require_int(getattr(self, name), name)
         _require_int(self.repeats, "repeats")
         _require_int(self.base_seed, "base_seed")
-        if self.sample_count is not None:
-            _require_int(self.sample_count, "sample_count")
         if self.repeats < 1:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
         if self.sample_count is not None and self.sample_count < 1:
             raise ValidationError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.base_seed < 0:
             raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.shape is not None:
-            self.shape.require_bottleneck()
-
-    def resolved_shape(self, bands: int) -> NetworkShape:
-        if self.shape is None:
-            return default_shape(bands)
-        if self.shape.input_dim != bands:
-            raise ValidationError(
-                f"configured shape expects {self.shape.input_dim} bands, cubes have {bands}"
-            )
-        return self.shape
 
 
 @dataclass(frozen=True)
@@ -92,16 +95,19 @@ class AcdaRun:
 
 
 def predict_image(params: MlpParams, rows: np.ndarray) -> np.ndarray:
-    """Row-wise forward pass (`neural._forward`) over an (M, Q) pixel matrix.
+    """Row-wise forward pass (`neural._layers`) over an (M, Q) pixel matrix.
 
-    `core.loss_map` calls this on one row block at a time.
+    Only the layer being computed and its input are held. `core.loss_map`
+    calls this on one row block at a time.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != params.input_dim:
         raise ValidationError(
             f"image shape {rows.shape} does not match network input {params.input_dim}"
         )
-    return _forward(params.weights, params.biases, rows)[0]
+    for out in _layers(params.weights, params.biases, rows):
+        pass
+    return out
 
 
 def prepare_samples(x_cube: HyperCube, y_cube: HyperCube, cfg: AcdaConfig) -> SampleSet:
@@ -146,7 +152,7 @@ def run_acda(
     nets = [(r, direction) for r in range(cfg.repeats) for direction in (0, 1)]
     names = [f"repeat {r} {('fwd', 'bwd')[direction]} predictor" for r, direction in nets]
     trained = train_lockstep(
-        cfg.resolved_shape(x_cube.bands),
+        bottleneck(x_cube.bands, cfg.h1, cfg.h2),
         np.stack([samples.inputs, samples.labels]),
         [(direction, 1 - direction) for _, direction in nets],
         [derived_seed(cfg.base_seed + r, direction) for r, direction in nets],

@@ -131,20 +131,15 @@ def _sweep_defaults() -> dict:
     }
 
 
-def _acda_config(conf: dict, bands: int):
-    """The run config of merged settings `conf`; the dataclasses check every value.
-
-    `h1`/`h2` set together give the bottleneck; both unset leave `shape=None`,
-    the run config's default shape for the cube's band count.
-    """
+def _acda_config(conf: dict):
+    """The run config of merged settings `conf`; the dataclasses check every value."""
     from .acda import AcdaConfig
-    from .neural import NetworkShape, TrainConfig
+    from .neural import TrainConfig
 
-    if (conf["h1"] is None) != (conf["h2"] is None):
-        raise ValidationError("h1 and h2 must be set together")
-    shape = None if conf["h1"] is None else NetworkShape.bottleneck(bands, conf["h1"], conf["h2"])
     train = TrainConfig(**{key: conf[key] for key in _TRAIN_KEYS})
-    return AcdaConfig(shape=shape, train=train, **{key: conf[key] for key in _RUN_KEYS})
+    return AcdaConfig(
+        h1=conf["h1"], h2=conf["h2"], train=train, **{key: conf[key] for key in _RUN_KEYS}
+    )
 
 
 def _read_pair(x_path, y_path):
@@ -197,11 +192,11 @@ def cmd_detect(args) -> int:
     maps: dict[str, IntensityMap] = {}
     texts: dict[str, tuple[str, str]] = {}
     if args.method == "acda":
-        from .acda import prepare_samples, run_acda
+        from .acda import bottleneck, prepare_samples, run_acda
 
         conf = _load_config({"h1": None, "h2": None, **_sweep_defaults()}, data, args.set)
-        cfg = _acda_config(conf, x_cube.bands)
-        shape = cfg.resolved_shape(x_cube.bands)
+        cfg = _acda_config(conf)
+        shape = bottleneck(x_cube.bands, cfg.h1, cfg.h2)
         samples = prepare_samples(x_cube, y_cube, cfg)
         maps["map"], runs = run_acda(x_cube, y_cube, cfg, samples=samples)
         texts["losses.csv"] = (_history_text(runs), "loss history")
@@ -292,13 +287,12 @@ def cmd_sweep(args) -> int:
         axes.append(sorted(set(values), reverse=True))
     h1_values, h2_values = axes
     conf = _load_config(_sweep_defaults(), grid, args.set)
-    bands = x_cube.bands
-    shared = _acda_config(dict(conf, h1=None, h2=None), bands)
+    shared = _acda_config(dict(conf, h1=None, h2=None))
     configs = {
-        (h1, h2): _acda_config(dict(conf, h1=h1, h2=h2), bands)
+        (h1, h2): _acda_config(dict(conf, h1=h1, h2=h2))
         for h2 in h2_values
         for h1 in h1_values
-        if 0 < h2 < h1 < bands
+        if 0 < h2 < h1 < x_cube.bands
     }
 
     # Pre-detection reads only sample_count and base_seed, which every cell

@@ -303,9 +303,10 @@ def read_cube(path) -> HyperCube:
             f"raw payload {raw_path} holds {len(payload)} bytes, header implies {expected}"
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(q, h, w)
-    if not np.all(np.isfinite(values)):
-        raise DataIOError(f"raw payload {raw_path} contains NaN or Inf values")
-    return HyperCube(values.transpose(1, 2, 0))
+    try:
+        return HyperCube(values.transpose(1, 2, 0))
+    except ValidationError as exc:  # NaN or Inf: bad data in the file
+        raise DataIOError(f"raw payload {raw_path}: {exc}") from exc
 
 
 def write_cube(cube: HyperCube, path) -> None:

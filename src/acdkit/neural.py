@@ -55,32 +55,6 @@ class NetworkShape:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.output_dim)
 
-    @classmethod
-    def bottleneck(cls, bands: int, h1: int, h2: int) -> "NetworkShape":
-        """Mirrored three-hidden-layer shape Q -> h1 -> h2 -> h1 -> Q.
-
-        Requires h1 < bands and h2 < h1 so the middle layer is a genuine
-        compression of the spectrum.
-        """
-        shape = cls(bands, (h1, h2, h1), bands)
-        shape.require_bottleneck()
-        return shape
-
-    def require_bottleneck(self) -> None:
-        """Reject shapes that do not compress: hidden must be (h1, h2, h1) with h2 < h1 < Q."""
-        ok = (
-            len(self.hidden) == 3
-            and self.hidden[0] == self.hidden[2]
-            and self.hidden[0] < self.input_dim
-            and self.hidden[1] < self.hidden[0]
-            and self.input_dim == self.output_dim
-        )
-        if not ok:
-            raise ValidationError(
-                f"shape {self.layer_dims} is not a mirrored bottleneck "
-                "(need hidden (h1, h2, h1) with h2 < h1 < input_dim)"
-            )
-
 
 class MlpParams:
     """The weights and biases of one net, or of N stacked nets, in one float64 buffer.
@@ -201,18 +175,19 @@ def init_params(shape: NetworkShape, seed: int) -> MlpParams:
     return MlpParams(*_he_init(shape, np.random.default_rng(seed)))
 
 
-def _forward(weights, biases, x: np.ndarray):
-    """Forward pass on raw arrays, one net or N stacked nets (see module doc)."""
-    activations = [x]
-    current = x
+def _layers(weights, biases, x: np.ndarray):
+    """Yield each layer's output in turn, one net or N stacked nets (see module doc).
+
+    Hidden layers are ReLU, the output layer linear. The generator holds
+    only the layer it computes and that layer's input.
+    """
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        current = current @ np.swapaxes(w, -1, -2)
-        current += b[..., np.newaxis, :]
+        x = x @ np.swapaxes(w, -1, -2)
+        x += b[..., np.newaxis, :]
         if i < last:
-            np.maximum(current, 0.0, out=current)
-        activations.append(current)
-    return current, activations
+            np.maximum(x, 0.0, out=x)
+        yield x
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -226,7 +201,8 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np
         raise ValidationError(
             f"batch shape {batch.shape} does not match input_dim {params.input_dim}"
         )
-    return _forward(params.weights, params.biases, batch)
+    activations = [batch, *_layers(params.weights, params.biases, batch)]
+    return activations[-1], activations
 
 
 def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
@@ -253,7 +229,8 @@ def _loss_and_grads(params: MlpParams, grads: MlpParams, inputs, labels, l2_lamb
     order as `loss` sums it.
     """
     weights = params.weights
-    out, acts = _forward(weights, params.biases, inputs)
+    acts = [inputs, *_layers(weights, params.biases, inputs)]
+    out = acts[-1]
     size = inputs.shape[-2]
     residual = out - labels
     value = np.sum(residual * residual, axis=(-2, -1)) / size

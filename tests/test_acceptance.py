@@ -71,7 +71,8 @@ def nonlinear_result():
     """The nonlinear benchmark, shared by the advantage/fusion/sampling tests."""
     x_cube, y_cube, truth = generate(NONLINEAR_SPEC)
     cfg = AcdaConfig(
-        shape=NetworkShape.bottleneck(16, 15, 10),
+        h1=15,
+        h2=10,
         train=TrainConfig(epochs=400, batch_size=64, l2_lambda=1e-4),
         sample_count=1800,
         repeats=10,
@@ -273,7 +274,8 @@ def test_criterion_8_reference_scene_reproduction():
             expected_shape=(x_cube.height, x_cube.width),
         )
         cfg = AcdaConfig(
-            shape=NetworkShape.bottleneck(x_cube.bands, 60, 40),
+            h1=60,
+            h2=40,
             train=TrainConfig(),
             repeats=10,
             base_seed=0,

@@ -1,6 +1,7 @@
 """Dual-predictor pipeline: training, prediction, loss maps, fusion, repeats."""
 
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from acdkit.acda import (
     AcdaConfig,
-    default_shape,
+    bottleneck,
     predict_image,
     prepare_samples,
     run_acda,
@@ -41,7 +42,8 @@ def _sampled(img_in, img_out, count, seed=0):
 def _small_cfg(bands, epochs=150):
     h1, h2 = (5, 3) if bands >= 6 else (3, 2)
     return AcdaConfig(
-        shape=NetworkShape.bottleneck(bands, h1, h2),
+        h1=h1,
+        h2=h2,
         train=TrainConfig(
             epochs=epochs, batch_size=32, learning_rate=3e-3, l2_lambda=1e-4
         ),
@@ -60,7 +62,7 @@ def _train_directions(samples, cfg, seeds):
     pair = np.stack([samples.inputs, samples.labels])
     roles = [(0, 1), (1, 0)][: len(seeds)]
     return train_lockstep(
-        cfg.resolved_shape(pair.shape[2]), pair, roles, seeds, cfg.train,
+        bottleneck(pair.shape[2], cfg.h1, cfg.h2), pair, roles, seeds, cfg.train,
         [f"net {k}" for k in range(len(seeds))],
     )
 
@@ -128,12 +130,25 @@ class TestPredictImage:
         with pytest.raises(ValidationError, match="input"):
             predict_image(params, np.ones((10, 5)))
 
+    def test_holds_two_layers_not_every_layer(self):
+        # 1024 rows through 16 -> 64 -> 48 -> 64 -> 16: keeping every layer's
+        # output holds 192 float64 columns, two adjacent layers at most 112.
+        params = init_params(NetworkShape(16, (64, 48, 64), 16), seed=1)
+        rows = np.random.default_rng(2).normal(size=(1024, 16))
+        tracemalloc.start()
+        try:
+            predict_image(params, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 160 * 8
+
     def test_chunked_prediction_matches_one_chunk(self, monkeypatch):
         # loss_map feeds predict_image row blocks of _BLOCK; 30 rows in blocks
         # of 7 end on a last block that takes the remainder, 9 rows. BLAS may
         # pick another kernel for another block size, so the low bits may move.
         rng = np.random.default_rng(31)
-        params = init_params(NetworkShape.bottleneck(16, 8, 5), seed=11)
+        params = init_params(bottleneck(16, 8, 5), seed=11)
         img = rng.uniform(0.0, 1.0, size=(30, 16))
         whole = predict_image(params, img)
         blocks = []
@@ -189,7 +204,7 @@ class TestLossMap:
         rng = np.random.default_rng(37)
         x = rng.uniform(0.0, 1.0, size=(30, 16))
         y = rng.uniform(0.0, 1.0, size=(30, 16))
-        net = functools.partial(predict_image, init_params(NetworkShape.bottleneck(16, 8, 5), seed=11))
+        net = functools.partial(predict_image, init_params(bottleneck(16, 8, 5), seed=11))
         linear = fit_cc(x, y).predict
         monkeypatch.setattr("acdkit.core._BLOCK", 7)
         for predict in (net, linear):
@@ -210,7 +225,7 @@ class TestLossMap:
         rng = np.random.default_rng(41)
         x = rng.uniform(0.0, 1.0, size=(2049, 40))
         y = rng.uniform(0.0, 1.0, size=(2049, 40))
-        predict = functools.partial(predict_image, init_params(default_shape(40), seed=5))
+        predict = functools.partial(predict_image, init_params(bottleneck(40), seed=5))
         values = loss_map(predict, x, y, (3, 683)).values.ravel()
         assert values.tobytes() == np.mean((predict(x) - y) ** 2, axis=1).tobytes()
 
@@ -241,26 +256,53 @@ class TestFuseMin:
 
 class TestDefaultShape:
     def test_reference_band_count(self):
-        shape = default_shape(127)
+        shape = bottleneck(127)
         assert shape.layer_dims == (127, 60, 40, 60, 127)
 
     def test_scaled_to_sixteen_bands(self):
-        shape = default_shape(16)
+        shape = bottleneck(16)
         assert shape.layer_dims == (16, 8, 5, 8, 16)
 
     def test_tiny_band_count_still_compresses(self):
-        shape = default_shape(4)
+        shape = bottleneck(4)
         assert shape.layer_dims == (4, 2, 1, 2, 4)
 
     def test_rejects_too_few_bands(self):
         with pytest.raises(ValidationError, match="bands"):
-            default_shape(2)
+            bottleneck(2)
+
+    @pytest.mark.parametrize(
+        "bands, h1, h2, message",
+        [
+            (16, 5, 8, "bottleneck"),
+            (16, 8, 0, "bottleneck"),
+            (16, 20, 5, "bottleneck"),
+            (16, True, 1, "h1 must be an integer, got True"),
+            (16, 8, 5.0, "h2 must be an integer, got 5.0"),
+            (2, None, None, "at least 3 bands"),
+        ],
+        ids=["h2-above-h1", "h2-zero", "h1-above-bands", "bool-width", "float-width",
+             "two-bands-unset"],
+    )
+    def test_rejects_widths_that_do_not_compress(self, bands, h1, h2, message):
+        with pytest.raises(ValidationError, match=message):
+            bottleneck(bands, h1, h2)
 
 
 class TestConfig:
-    def test_rejects_non_bottleneck_shape(self):
-        with pytest.raises(ValidationError, match="bottleneck"):
-            AcdaConfig(shape=NetworkShape(8, (8, 4, 8), 8))
+    @pytest.mark.parametrize(
+        "widths, message",
+        [
+            ({"h1": 5}, "h1 and h2 must be set together"),
+            ({"h2": 3}, "h1 and h2 must be set together"),
+            ({"h1": 5.0, "h2": 3}, "h1 must be an integer"),
+            ({"h1": 5, "h2": True}, "h2 must be an integer"),
+        ],
+        ids=["h1-only", "h2-only", "float-h1", "bool-h2"],
+    )
+    def test_rejects_unpaired_or_non_integer_widths(self, widths, message):
+        with pytest.raises(ValidationError, match=message):
+            AcdaConfig(**widths)
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValidationError, match="repeats"):
@@ -275,11 +317,6 @@ class TestConfig:
     def test_integer_fields_reject_other_types(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             AcdaConfig(**{field: value})
-
-    def test_resolved_shape_band_mismatch(self):
-        cfg = AcdaConfig(shape=NetworkShape.bottleneck(8, 5, 3))
-        with pytest.raises(ValidationError, match="bands"):
-            cfg.resolved_shape(16)
 
 
 def _scene(anomalies=(), seed=5, condition="affine", sigma=0.01, side=16, bands=8):
@@ -305,7 +342,8 @@ def _explicit_samples(x_cube, y_cube, count, seed=0):
 
 def _run_cfg(repeats=1, epochs=120, base_seed=0):
     return AcdaConfig(
-        shape=NetworkShape.bottleneck(8, 5, 3),
+        h1=5,
+        h2=3,
         train=TrainConfig(epochs=epochs, batch_size=32, learning_rate=2e-3, l2_lambda=1e-4),
         sample_count=150,
         repeats=repeats,
@@ -355,19 +393,19 @@ class TestRunAcda:
         assert first.values.tobytes() == second.values.tobytes()
 
     @pytest.mark.parametrize(
-        "shape, side, count, batch_size",
+        "bands, widths, side, count, batch_size",
         [
             # 150 samples at batch 32: every epoch ends on a short batch of 22.
-            (NetworkShape.bottleneck(8, 5, 3), 16, 150, 32),
+            (8, (5, 3), 16, 150, 32),
             # The benchmark-sized 40 -> 19 -> 13 -> 19 -> 40 at batch 256: 400 = 256 + 144.
-            (default_shape(40), 24, 400, 256),
+            (40, (None, None), 24, 400, 256),
         ],
         ids=["linear", "default40"],
     )
-    def test_lockstep_equals_independent_predictors(self, shape, side, count, batch_size):
-        x, y, _ = generate(_scene(seed=13, side=side, bands=shape.input_dim))
+    def test_lockstep_equals_independent_predictors(self, bands, widths, side, count, batch_size):
+        x, y, _ = generate(_scene(seed=13, side=side, bands=bands))
         cfg = AcdaConfig(
-            shape=shape,
+            *widths,
             train=TrainConfig(
                 epochs=4, batch_size=batch_size, learning_rate=2e-3, l2_lambda=1e-4
             ),
@@ -383,9 +421,18 @@ class TestRunAcda:
                 (run.params_bwd, run.training_losses[1], 1, reversed_samples),
             ):
                 alone = reference_train(
-                    cfg.shape, pool, cfg.train, derived_seed(cfg.base_seed + r, direction)
+                    bottleneck(bands, *widths), pool, cfg.train, derived_seed(cfg.base_seed + r, direction)
                 )
                 assert_same_net((params, history), alone)
+
+    def test_one_config_fits_any_band_count(self):
+        # The widths hold no band count: each run builds its shape from its cubes.
+        cfg = AcdaConfig(h1=5, h2=3, train=TrainConfig(epochs=1), repeats=1)
+        for bands in (8, 16):
+            x, y, _ = generate(_scene(seed=7, bands=bands))
+            _, [run] = run_acda(x, y, cfg)
+            dims = [w.shape for w in run.params_fwd.weights]
+            assert dims == [(5, bands), (3, 5), (5, 3), (bands, 5)]
 
     def test_rejects_samples_that_do_not_fit_the_cubes(self):
         x, y, _ = generate(_scene(seed=13))
@@ -410,7 +457,7 @@ class TestRunAcda:
         # With fixed params, permuting the pixels permutes the loss map:
         # scoring never mixes information across locations.
         rng = np.random.default_rng(21)
-        params = init_params(NetworkShape.bottleneck(6, 4, 2), seed=9)
+        params = init_params(bottleneck(6, 4, 2), seed=9)
         x = rng.normal(size=(64, 6))
         y = rng.normal(size=(64, 6))
         perm = rng.permutation(64)
@@ -447,11 +494,11 @@ class TestPeakMemory:
 
     On the 64 x 64 x 16 scene the peaks measure about 2.0 (the run, set by
     training's buffers, which do not grow with the image), 1.14
-    (pre-detection), 0.77 (scoring one net) and 1.13 (Diff-RX) pixel
+    (pre-detection), 0.57 (scoring one net) and 1.13 (Diff-RX) pixel
     matrices; a float64 copy of both cubes adds 2, and scoring that predicts
     the whole image first reaches 1 or more. On the 128 x 128 x 16 scene a
     1024-row block is 1/16 of the image: scoring one net or one CC direction
-    measures about 0.24 and 0.3, pre-detection and Diff-RX 1.03 (the
+    measures about 0.19 and 0.3, pre-detection and Diff-RX 1.03 (the
     difference whose covariance they take) and both CC directions with their
     scoring 1.10 (the centered x).
     Centering a copy of the difference adds one pixel matrix to either, and
@@ -484,7 +531,7 @@ class TestPeakMemory:
 
     def test_scoring_peak_is_below_two_pixel_matrices(self, scene):
         x, y, _ = scene
-        predict = functools.partial(predict_image, init_params(default_shape(x.bands), seed=3))
+        predict = functools.partial(predict_image, init_params(bottleneck(x.bands), seed=3))
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
         assert peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 2.0
 
@@ -492,7 +539,7 @@ class TestPeakMemory:
         # Predicting the whole image first would hold at least one pixel matrix.
         x, y, _ = large_scene
         fx, fy, plane = flatten(x), flatten(y), (x.height, x.width)
-        net = functools.partial(predict_image, init_params(default_shape(x.bands), seed=3))
+        net = functools.partial(predict_image, init_params(bottleneck(x.bands), seed=3))
         cc = fit_cc(fx, fy).predict
         for predict in (net, cc):
             assert peak_in_pixel_matrices(lambda: loss_map(predict, fx, fy, plane), x) < 0.5

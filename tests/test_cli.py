@@ -28,7 +28,7 @@ from acdkit.core import (
 from acdkit.errors import NumericalError
 from acdkit.evaluate import roc
 from acdkit.core import IntensityMap
-from acdkit.neural import NetworkShape, TrainConfig
+from acdkit.neural import TrainConfig
 from acdkit.synth import AnomalyRect, SceneSpec, generate
 
 
@@ -512,7 +512,7 @@ class TestSweep:
             cells = []
             for h1 in (6, 5):
                 cfg = AcdaConfig(
-                    shape=NetworkShape.bottleneck(8, h1, h2), train=TrainConfig(epochs=3),
+                    h1=h1, h2=h2, train=TrainConfig(epochs=3),
                     repeats=2,
                 )
                 mean_map, _ = run_acda(x_cube, y_cube, cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from acdkit.acda import bottleneck
 from acdkit.errors import NumericalError, ValidationError
 from acdkit.neural import (
     AdamState,
@@ -44,20 +45,16 @@ class TestNetworkShape:
         assert shape.layer_dims == (16, 8, 5, 8, 16)
 
     def test_bottleneck_factory(self):
-        shape = NetworkShape.bottleneck(16, 8, 5)
+        shape = bottleneck(16, 8, 5)
         assert shape.hidden == (8, 5, 8)
 
     def test_bottleneck_rejects_wide_first_hidden(self):
         with pytest.raises(ValidationError, match="bottleneck"):
-            NetworkShape.bottleneck(16, 16, 5)
+            bottleneck(16, 16, 5)
 
     def test_bottleneck_rejects_non_compressing_middle(self):
         with pytest.raises(ValidationError, match="bottleneck"):
-            NetworkShape.bottleneck(16, 8, 8)
-
-    def test_bottleneck_rejects_unmirrored_hidden(self):
-        with pytest.raises(ValidationError, match="bottleneck"):
-            NetworkShape(16, (8, 5, 7), 16).require_bottleneck()
+            bottleneck(16, 8, 8)
 
     def test_rejects_zero_width(self):
         with pytest.raises(ValidationError, match=">= 1"):
@@ -74,7 +71,7 @@ class TestNetworkShape:
     def test_bottleneck_rejects_boolean_width(self):
         # True would otherwise pass as a width of 1: (15, 1, 15).
         with pytest.raises(ValidationError, match="must be an integer, got True"):
-            NetworkShape.bottleneck(16, 15, True)
+            bottleneck(16, 15, True)
 
 
 class TestInitParams:

@@ -11,7 +11,7 @@ from acdkit.acda import AcdaConfig, run_acda
 from acdkit.baselines import diff_rx, run_baseline
 from acdkit.core import flatten
 from acdkit.errors import DataIOError, ValidationError
-from acdkit.neural import NetworkShape, TrainConfig
+from acdkit.neural import TrainConfig
 from acdkit.synth import (
     _TANH_SHARPNESS,
     CONDITIONS,
@@ -330,7 +330,8 @@ class TestDetectability:
     def test_autoencoder_detector_flags_anomalies(self, scene):
         x, y, mask = scene
         cfg = AcdaConfig(
-            shape=NetworkShape.bottleneck(8, 5, 3),
+            h1=5,
+            h2=3,
             train=TrainConfig(epochs=150, batch_size=32, learning_rate=2e-3,
                               l2_lambda=1e-4),
             sample_count=800,
