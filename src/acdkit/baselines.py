@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, flatten, fuse_min, loss_map
 from .errors import ValidationError
-from .linalg import _center_in_place, _whitened_norms, inv_sqrt, mean_cov, sym_sqrt
+from .linalg import _shifted_eigh, _whitened_norms, inv_sqrt, mean_cov, sym_sqrt
 
 BASELINE_KINDS = ("cc", "ce")
 
@@ -60,7 +60,8 @@ def diff_rx(
 
     score_i = ||(d_i - mu_d) W||^2 with d = x - y and W = inv_sqrt(cov_d, ridge),
     the whitened RX of Reed & Yu (1990), scored by `linalg._whitened_norms`.
-    The pixel-sized difference is freed once its covariance is taken. When
+    The difference is formed one row block at a time, for its moments and
+    for its scores, so no pixel-sized temporary is held. When
     that covariance is zero (identical inputs, or a difference that is
     exactly constant), W is zero and so is every score. Inputs that differ
     by a constant vector score zero only when the float32 subtraction is
@@ -69,24 +70,22 @@ def diff_rx(
     can score at most 63).
     """
     x, y = _check_pair(x, y)
-    stats = _center_in_place(x - y)
+    stats = mean_cov(x, minus=y)
     whitener = inv_sqrt(stats.cov, ridge) if np.any(stats.cov) else np.zeros_like(stats.cov)
     return _whitened_norms(x, y, stats.mean, whitener, shape)
 
 
 def fit_cc(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPredictor:
-    """Least-squares affine predictor of y from x: gain = cov_yx W W, W = inv_sqrt(cov_xx, ridge).
+    """Least-squares affine predictor of y from x: gain = cov_yx (cov_xx + ridge I)^-1.
 
-    The cross-covariance is taken against the uncentered y: the columns of
-    the centered x sum to zero, so subtracting y's mean would change nothing
-    but the rounding, and the fit holds one pixel matrix.
+    The gain is formed from one eigendecomposition cov_xx = V diag(lambda) V^T
+    as (cov_yx V) diag(1/(lambda + ridge)) V^T, checked as `inv_sqrt` checks
+    its input; squaring the whitener instead would square its rounding error.
     """
     x, y = _check_pair(x, y)
-    centered_x = np.copy(x)
-    stats_x = _center_in_place(centered_x)
-    cross_xy = centered_x.T @ y / x.shape[0]  # cov_xy, (Q, Q)
-    whitener = inv_sqrt(stats_x.cov, ridge)
-    gain = cross_xy.T @ whitener @ whitener
+    stats_x = mean_cov(x, cross=y)
+    shifted, vectors = _shifted_eigh(stats_x.cov, ridge, "cov_xx")
+    gain = (stats_x.cross.T @ vectors) / shifted @ vectors.T
     return LinearPredictor(gain, stats_x.mean, y.mean(axis=0))
 
 

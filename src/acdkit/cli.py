@@ -35,14 +35,19 @@ from .errors import AcdkitError, DataIOError, NumericalError, ValidationError
 _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_lambda")
 _RUN_KEYS = ("sample_count", "repeats", "base_seed")
 _LINEAR_DEFAULTS = {"ridge": None}
+_DIGEST_CHUNK = 1 << 16  # bytes hashed per read
 
 
 def _digest(path: Path) -> str:
+    """sha256 of the file at `path`, read `_DIGEST_CHUNK` bytes at a time."""
+    sha = hashlib.sha256()
     try:
-        payload = Path(path).read_bytes()
+        with Path(path).open("rb") as stream:
+            while chunk := stream.read(_DIGEST_CHUNK):
+                sha.update(chunk)
     except OSError as exc:
         raise DataIOError(f"cannot digest {path}: {exc}") from exc
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
+    return "sha256:" + sha.hexdigest()
 
 
 def _cube_files(header_path) -> list[Path]:

@@ -19,7 +19,8 @@ live next to it.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .errors import DataIOError, NumericalError, ValidationError
 
 _HEADER_DTYPE = "f32"
 _HEADER_INTERLEAVE = "bsq"
-_BLOCK = 1024  # rows per block in blocked per-pixel scoring
+_BLOCK = 1024  # rows per block in blocked scoring, moments and cube reads
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,15 @@ def flatten(cube: HyperCube) -> np.ndarray:
     return cube.data.reshape(h * w, q)
 
 
+def _row_blocks(rows: int) -> Iterator[slice]:
+    """Slices that cover `rows` rows `_BLOCK` at a time; the last also takes a shorter remainder."""
+    start = 0
+    while start < rows:
+        stop = start + _BLOCK if rows - start >= 2 * _BLOCK else rows
+        yield slice(start, stop)
+        start = stop
+
+
 def _pixel_map(score, rows: int, shape: tuple[int, int]) -> IntensityMap:
     """Build the (H, W) map of `rows` per-pixel scores, `_BLOCK` rows at a time.
 
@@ -146,11 +156,8 @@ def _pixel_map(score, rows: int, shape: tuple[int, int]) -> IntensityMap:
     if height * width != rows:
         raise ValidationError(f"shape {shape} does not cover {rows} pixels")
     scores = np.empty(rows)
-    start = 0
-    while start < rows:
-        stop = start + _BLOCK if rows - start >= 2 * _BLOCK else rows
-        scores[start:stop] = score(slice(start, stop))
-        start = stop
+    for part in _row_blocks(rows):
+        scores[part] = score(part)
     if not np.all(np.isfinite(scores)):
         raise NumericalError("scores contain NaN or Inf values")
     return IntensityMap(scores.reshape(height, width))
@@ -293,20 +300,36 @@ def read_cube(path) -> HyperCube:
         raise DataIOError(f"cube header {header_path} declares non-positive dimensions")
 
     raw_path = _raw_path(header_path, header["raw"])
+    rows = h * w
+    values = np.empty((h, w, q))
+    pixels = values.reshape(rows, q)
     try:
-        payload = raw_path.read_bytes()
+        with raw_path.open("rb") as raw:
+            size = os.fstat(raw.fileno()).st_size
+            if size != rows * q * 4:
+                raise DataIOError(
+                    f"raw payload {raw_path} holds {size} bytes, header implies {rows * q * 4}"
+                )
+            # Each band plane holds a row block's pixels contiguously: read
+            # the block band by band, then transpose it into the cube's rows.
+            for part in _row_blocks(rows):
+                block = np.empty((q, part.stop - part.start), dtype="<f4")
+                for band, plane in enumerate(block):
+                    raw.seek((band * rows + part.start) * 4)
+                    if raw.readinto(plane) != plane.nbytes:
+                        raise DataIOError(f"raw payload {raw_path} ended early")
+                # NaN and ±Inf reach the minimum or the maximum.
+                if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                    raise DataIOError(f"raw payload {raw_path}: cube contains NaN or Inf values")
+                pixels[part] = block.T
     except OSError as exc:
         raise DataIOError(f"cannot read raw payload {raw_path}: {exc}") from exc
-    expected = h * w * q * 4
-    if len(payload) != expected:
-        raise DataIOError(
-            f"raw payload {raw_path} holds {len(payload)} bytes, header implies {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(q, h, w)
-    try:
-        return HyperCube(values.transpose(1, 2, 0))
-    except ValidationError as exc:  # NaN or Inf: bad data in the file
-        raise DataIOError(f"raw payload {raw_path}: {exc}") from exc
+    # Every value was read as float32 and checked, so the constructor's
+    # rounding pass and copy would change nothing.
+    values.flags.writeable = False
+    cube = object.__new__(HyperCube)
+    object.__setattr__(cube, "data", values)
+    return cube
 
 
 def write_cube(cube: HyperCube, path) -> None:

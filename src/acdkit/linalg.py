@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityMap, _pixel_map, _require_number
+from .core import IntensityMap, _pixel_map, _require_number, _row_blocks
 from .errors import NumericalError, ValidationError
 
 _SYMMETRY_RTOL = 1e-9
@@ -27,6 +27,7 @@ class Stats:
 
     mean: np.ndarray  # (Q,)
     cov: np.ndarray  # (Q, Q), symmetric PSD up to tolerance
+    cross: np.ndarray | None = None  # (Q, Q) cross-covariance, when asked for
 
 
 def _as_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -59,27 +60,47 @@ def _resolve_ridge(a: np.ndarray, ridge: float | None) -> float:
     return default_ridge(a) if ridge is None else _require_ridge(ridge)
 
 
-def mean_cov(m: np.ndarray) -> Stats:
-    """Column means and population covariance (1/M) of an M x Q matrix."""
-    return _center_in_place(np.array(m, dtype=np.float64))
+def mean_cov(
+    m: np.ndarray, minus: np.ndarray | None = None, cross: np.ndarray | None = None
+) -> Stats:
+    """Column means and population covariance (1/M) of an M x Q matrix, in row blocks.
 
-
-def _center_in_place(m: np.ndarray) -> Stats:
-    """`mean_cov` of a caller-owned, writable float64 matrix, which is left centered.
-
-    Callers that build a matrix only for its statistics (a difference, or a
-    copy they go on to use centered) save the pixel-sized copy `mean_cov`
-    makes.
+    With `minus`, the moments are those of the difference m - minus, which
+    is never formed whole. With `cross`, `Stats.cross` also holds the
+    cross-covariance of the centered matrix with the uncentered `cross`:
+    the centered columns sum to zero, so centering `cross` too would change
+    only the rounding. Both passes of the two-pass algorithm (Chan, Golub &
+    LeVeque, 1983) run over the `core._row_blocks` that scoring uses, so no
+    pixel-sized temporary is held. A plain matrix's mean is `m.mean(axis=0)`.
     """
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValidationError(f"pixel matrix must be 2-D, got shape {m.shape}")
     rows = m.shape[0]
     if rows < 2:
         raise ValidationError(f"need at least 2 rows for covariance, got {rows}")
-    mean = m.mean(axis=0)
-    m -= mean
-    cov = m.T @ m / rows
-    return Stats(mean=mean, cov=(cov + cov.T) / 2.0)
+    for name, other in (("minus", minus), ("cross", cross)):
+        if other is not None and np.shape(other) != m.shape:
+            raise ValidationError(f"{name} matrix {np.shape(other)} does not match {m.shape}")
+
+    def rows_of(part: slice) -> np.ndarray:
+        return m[part] if minus is None else m[part] - minus[part]
+
+    if minus is None:
+        mean = m.mean(axis=0)
+    else:
+        mean = sum(rows_of(part).sum(axis=0) for part in _row_blocks(rows)) / rows
+    cov = np.zeros((m.shape[1], m.shape[1]))
+    cross_cov = None if cross is None else np.zeros_like(cov)
+    for part in _row_blocks(rows):
+        centered = rows_of(part) - mean
+        cov += centered.T @ centered
+        if cross is not None:
+            cross_cov += centered.T @ cross[part]
+    cov /= rows
+    if cross is not None:
+        cross_cov /= rows
+    return Stats(mean=mean, cov=(cov + cov.T) / 2.0, cross=cross_cov)
 
 
 def _whitened_norms(
@@ -126,17 +147,28 @@ def _checked_psd_eigh(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]
     return values, vectors
 
 
-def inv_sqrt(a: np.ndarray, ridge: float | None = None) -> np.ndarray:
-    """Symmetric inverse square root V diag(1/sqrt(lambda + ridge)) V^T."""
-    sym = _as_symmetric(a, "inv_sqrt input")
+def _shifted_eigh(a: np.ndarray, ridge: float | None, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lambda + ridge and eigenvectors V of a PSD matrix about to be inverted.
+
+    Raises NumericalError unless `a` is PSD within tolerance and every
+    shifted eigenvalue clears the floor, so V diag(1/(lambda + ridge)) V^T
+    and its square root are safe to form.
+    """
+    sym = _as_symmetric(a, name)
     ridge_val = _resolve_ridge(sym, ridge)
-    values, vectors = _checked_psd_eigh(sym, "inv_sqrt input")
+    values, vectors = _checked_psd_eigh(sym, name)
     shifted = values + ridge_val
     floor = _EIGENVALUE_RTOL * max(float(np.abs(values).max()), 0.0)
     if np.any(shifted <= floor):
         raise NumericalError(
             f"eigenvalue {shifted.min():.3e} below tolerance floor after ridge {ridge_val:.3e}"
         )
+    return shifted, vectors
+
+
+def inv_sqrt(a: np.ndarray, ridge: float | None = None) -> np.ndarray:
+    """Symmetric inverse square root V diag(1/sqrt(lambda + ridge)) V^T."""
+    shifted, vectors = _shifted_eigh(a, ridge, "inv_sqrt input")
     root = vectors * (1.0 / np.sqrt(shifted))
     out = root @ vectors.T
     return (out + out.T) / 2.0

@@ -175,15 +175,16 @@ def init_params(shape: NetworkShape, seed: int) -> MlpParams:
     return MlpParams(*_he_init(shape, np.random.default_rng(seed)))
 
 
-def _layers(weights, biases, x: np.ndarray):
+def _layers(weights, biases, x: np.ndarray, outs=None):
     """Yield each layer's output in turn, one net or N stacked nets (see module doc).
 
     Hidden layers are ReLU, the output layer linear. The generator holds
-    only the layer it computes and that layer's input.
+    only the layer it computes and that layer's input. With `outs`, layer i
+    is written into the buffer `outs[i]` instead of a new array.
     """
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        x = x @ np.swapaxes(w, -1, -2)
+        x = np.matmul(x, np.swapaxes(w, -1, -2), out=None if outs is None else outs[i])
         x += b[..., np.newaxis, :]
         if i < last:
             np.maximum(x, 0.0, out=x)
@@ -220,20 +221,43 @@ def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
     return data_term + reg_term
 
 
-def _loss_and_grads(params: MlpParams, grads: MlpParams, inputs, labels, l2_lambda: float):
+def _step_scratch(weights, lead: tuple[int, ...]) -> list[np.ndarray]:
+    """Buffers for `_loss_and_grads` on a (*lead, in) batch.
+
+    Each layer's output, then the squared residual, then each hidden
+    layer's ReLU mask. `train_lockstep` reuses one set for every step.
+    """
+    outs = [np.empty((*lead, w.shape[-2])) for w in weights]
+    masks = [np.empty(out.shape, dtype=bool) for out in outs[:-1]]
+    return [*outs, np.empty_like(outs[-1]), *masks]
+
+
+def _leading_rows(buffer: np.ndarray, rows: int) -> np.ndarray:
+    """A C-contiguous (N, rows, w) array over the start of an (N, B, w) buffer, rows <= B."""
+    count, _, width = buffer.shape
+    return buffer.reshape(-1)[: count * rows * width].reshape(count, rows, width)
+
+
+def _loss_and_grads(
+    params: MlpParams, grads: MlpParams, inputs, labels, l2_lambda: float, scratch=None
+):
     """`loss` and `backward` in one pass, one net or N stacked nets.
 
     Writes every gradient into `grads` (laid out like `params`) and returns
     the loss (a 0-d array for one net, shape (N,) for N nets). Each net's
     squared residual is summed over its whole (B, out) block, in the same
-    order as `loss` sums it.
+    order as `loss` sums it. `scratch` is a `_step_scratch` for this batch
+    shape; without one, fresh buffers are made. Its squared-residual buffer
+    may hold `labels`: they are read before it is written.
     """
     weights = params.weights
-    acts = [inputs, *_layers(weights, params.biases, inputs)]
-    out = acts[-1]
+    layers = len(weights)
+    scratch = scratch or _step_scratch(weights, inputs.shape[:-1])
+    square, masks = scratch[layers], scratch[layers + 1 :]
+    acts = [inputs, *_layers(weights, params.biases, inputs, scratch[:layers])]
     size = inputs.shape[-2]
-    residual = out - labels
-    value = np.sum(residual * residual, axis=(-2, -1)) / size
+    residual = np.subtract(acts[-1], labels, out=acts[-1])
+    value = np.sum(np.multiply(residual, residual, out=square), axis=(-2, -1)) / size
     value = value + l2_lambda * sum(np.sum(w * w, axis=(-2, -1)) for w in weights)
 
     delta = np.multiply(residual, 2.0 / size, out=residual)
@@ -241,8 +265,10 @@ def _loss_and_grads(params: MlpParams, grads: MlpParams, inputs, labels, l2_lamb
         np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=grads.weights[i])
         np.sum(delta, axis=-2, out=grads.biases[i])
         if i > 0:
-            delta = delta @ weights[i]
-            delta *= acts[i] > 0.0
+            # This is the last read of acts[i]: take its ReLU mask, then its buffer holds delta.
+            mask = np.greater(acts[i], 0.0, out=masks[i - 1])
+            delta = np.matmul(delta, weights[i], out=acts[i])
+            delta *= mask
     # The L2 term 2 * lambda * W, added once over the whole weight slice.
     grad_w = grads.data[: grads.n_weights]
     grad_w += (2.0 * l2_lambda) * params.data[: params.n_weights]
@@ -335,7 +361,9 @@ def train_lockstep(
     The parameters and gradients of all nets are two stacked `MlpParams`,
     and the Adam moments two flat buffers of their layout, allocated once:
     every step writes its gradients into theirs and then takes one in-place
-    Adam pass over all of them. The sample pool is only read, and each
+    Adam pass over all of them. The gathered batches and every layer's
+    activations also live in buffers made once, so a step allocates no
+    batch-sized array. The sample pool is only read, and each
     returned net owns a copy of its weights.
 
     Returns one (params, per-epoch losses) pair per net, in seed order; an
@@ -379,6 +407,13 @@ def train_lockstep(
     state = init_adam_state(params)
     work = np.empty((2, params.data.size))
     history = np.empty((config.epochs, count))
+    # The gathered inputs and the `_step_scratch` of a full batch, made
+    # once; a shorter last batch uses the start of each buffer. The labels
+    # are gathered into the squared-residual buffer.
+    lead = (count, min(config.batch_size, size))
+    buffers = [np.empty((*lead, width)), *_step_scratch(params.weights, lead)]
+    layers = len(params.weights)
+    views = {}  # batch length -> the buffers cut to it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             order = np.stack([rng.permutation(size) for rng in rngs])
@@ -386,11 +421,17 @@ def train_lockstep(
             batch_losses = []
             for start in range(0, size, config.batch_size):
                 batch = slice(start, start + config.batch_size)
+                length = min(config.batch_size, size - start)
+                if length not in views:
+                    views[length] = [_leading_rows(b, length) for b in buffers]
+                inputs, *scratch = views[length]
+                labels = scratch[layers]
+                # The indices are in range by construction; mode="clip" lets
+                # np.take write straight into `out` instead of a temporary.
+                np.take(rows, input_idx[:, batch], axis=0, out=inputs, mode="clip")
+                np.take(rows, label_idx[:, batch], axis=0, out=labels, mode="clip")
                 value = _loss_and_grads(
-                    params, grads,
-                    np.take(rows, input_idx[:, batch], axis=0),
-                    np.take(rows, label_idx[:, batch], axis=0),
-                    config.l2_lambda,
+                    params, grads, inputs, labels, config.l2_lambda, scratch
                 )
                 _adam_update(params.data, grads.data, state, config.learning_rate, work)
                 batch_losses.append(value)

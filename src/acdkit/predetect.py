@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import IntensityMap, _check_pair
 from .errors import NumericalError, ValidationError
-from .linalg import _center_in_place, _whitened_norms, generalized_eigh, mean_cov
+from .linalg import _whitened_norms, generalized_eigh, mean_cov
 from .neural import SampleSet
 
 logger = logging.getLogger(__name__)
@@ -83,7 +83,7 @@ def usfa_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> UsfaMo
     x, y = _check_pair(x, y)
     stats_x = mean_cov(x)
     stats_y = mean_cov(y)
-    slow = _center_in_place(x - y)
+    slow = mean_cov(x, minus=y)
     shared = 0.5 * (stats_x.cov + stats_y.cov)
     values, vectors = generalized_eigh(slow.cov, shared, ridge)
     keep = values < 1.0

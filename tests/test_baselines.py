@@ -1,5 +1,7 @@
 """Linear change detectors: Diff-RX, Chronochrome, Covariance Equalization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,7 +15,7 @@ from acdkit.baselines import (
 )
 from acdkit.core import HyperCube, _pixel_map, loss_map
 from acdkit.errors import ValidationError
-from acdkit.linalg import default_ridge, inv_sqrt, mean_cov
+from acdkit.linalg import default_ridge, eigh, inv_sqrt, mean_cov
 
 
 def _correlated_pair(rng, rows, bands, jitter=0.3):
@@ -22,6 +24,20 @@ def _correlated_pair(rng, rows, bands, jitter=0.3):
     mix = np.eye(bands) + 0.2 * rng.normal(size=(bands, bands))
     y = x @ mix.T + jitter * rng.normal(size=(rows, bands))
     return x, y
+
+
+def _exact_solve(a, b):
+    """a^-1 b by Gauss-Jordan elimination in exact rationals, rounded to float64 at the end."""
+    n = a.shape[0]
+    rows = [[Fraction(v) for v in a[i]] + [Fraction(v) for v in b[i]] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [u - factor * v for u, v in zip(rows[r], rows[col])]
+    return np.array([[float(v / rows[i][i]) for v in rows[i][n:]] for i in range(n)])
 
 
 def _population_cov(m):
@@ -83,7 +99,8 @@ class TestDiffRx:
         # 30 rows in blocks of 7: the last block takes the remainder, 9 rows.
         rng = np.random.default_rng(13)
         x, y = _correlated_pair(rng, 30, 5)
-        stats = mean_cov(x - y)
+        monkeypatch.setattr("acdkit.core._BLOCK", 7)
+        stats = mean_cov(x, minus=y)
         white = ((x - y) - stats.mean) @ inv_sqrt(stats.cov)
         whole = np.einsum("ij,ij->i", white, white)
         rows = []
@@ -95,7 +112,6 @@ class TestDiffRx:
 
             return _pixel_map(counted, count, shape)
 
-        monkeypatch.setattr("acdkit.core._BLOCK", 7)
         monkeypatch.setattr("acdkit.linalg._pixel_map", recording)
         blocked = diff_rx(x, y, (5, 6)).values.ravel()
         assert rows == [7, 7, 7, 9]
@@ -104,14 +120,31 @@ class TestDiffRx:
 
 class TestFitCc:
     def test_gain_matches_separately_centered_products_bit_for_bit(self):
-        # x is centered once and used for both the covariance and the cross-covariance.
+        # x is centered once and used for both the covariance and the
+        # cross-covariance; the gain comes from one eigendecomposition.
         rng = np.random.default_rng(15)
         x, y = _correlated_pair(rng, 50, 4)
         stats = mean_cov(x)
         cov_yx = ((x - stats.mean).T @ y / 50).T
-        whitener = inv_sqrt(stats.cov)
-        gain = cov_yx @ whitener @ whitener
+        values, vectors = eigh(stats.cov)
+        gain = (cov_yx @ vectors) / (values + default_ridge(stats.cov)) @ vectors.T
         assert fit_cc(x, y).gain.tobytes() == gain.tobytes()
+
+    @pytest.mark.parametrize("ridge", [None, 0.0], ids=["default-ridge", "no-ridge"])
+    def test_gain_is_accurate_on_an_ill_conditioned_covariance(self, ridge):
+        # cov_xx has condition number about 1e8; the exact rational solve of
+        # (cov_xx + ridge I) gain^T = cov_xy from the same moments is the
+        # reference, and a backward-stable gain is within eps * cond of it.
+        rng = np.random.default_rng(6)
+        basis = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        x = (rng.normal(size=(400, 6)) * np.logspace(0, -4, 6)) @ basis.T + 0.5
+        y = x @ rng.normal(size=(6, 6)) + rng.normal(scale=1e-3, size=(400, 6))
+        stats = mean_cov(x, cross=y)
+        shift = default_ridge(stats.cov) if ridge is None else ridge
+        shifted = stats.cov + shift * np.eye(6)
+        reference = _exact_solve(shifted, stats.cross).T
+        error = np.abs(fit_cc(x, y, ridge).gain - reference).max() / np.abs(reference).max()
+        assert error <= np.finfo(np.float64).eps * np.linalg.cond(shifted)
 
     def test_recovers_exact_affine_relation(self):
         rng = np.random.default_rng(13)

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on small synthetic scenes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -248,6 +249,20 @@ class TestDetectLinear:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["ridge"] == 0.01
+
+    def test_manifest_digests_hash_each_whole_file(self, ws, tmp_path, monkeypatch):
+        # In 1000-byte chunks each cube payload spans several reads and ends in a short one.
+        monkeypatch.setattr("acdkit.cli._DIGEST_CHUNK", 1000)
+        out = tmp_path / "digest"
+        code = main(["detect", "cc", str(ws["small"]["x"]), str(ws["small"]["y"]),
+                     "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests = {Path(p): d for p, d in manifest["inputs"].items()}
+        digests.update({out / name: d for name, d in manifest["outputs"].items()})
+        assert max(path.stat().st_size for path in digests) > 1000
+        for path, digest in digests.items():
+            assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_mismatched_cube_pair_rejected(self, ws, tmp_path):
         code = main(["detect", "cc", str(ws["small"]["x"]), str(ws["wide"]["y"]),

@@ -21,6 +21,7 @@ from acdkit.core import (
     write_pgm,
 )
 from acdkit.errors import DataIOError, NumericalError, ValidationError
+from helpers import peak_in_pixel_matrices
 
 
 def _write_pair(tmp_path, name, height, width, bands, values, **overrides):
@@ -77,6 +78,30 @@ class TestReadCube:
         path = _write_pair(tmp_path, "c", 1, 1, 2, [1.0, np.nan])
         with pytest.raises(DataIOError, match="NaN or Inf"):
             read_cube(path)
+
+    def test_non_finite_value_in_a_later_block(self, tmp_path, monkeypatch):
+        values = np.arange(30.0)
+        values[-1] = np.inf
+        path = _write_pair(tmp_path, "c", 5, 3, 2, values)
+        monkeypatch.setattr("acdkit.core._BLOCK", 4)
+        with pytest.raises(DataIOError, match="NaN or Inf"):
+            read_cube(path)
+
+    def test_row_blocks_and_tail_land_in_place(self, tmp_path, monkeypatch):
+        # 30 pixels in blocks of 7: the last block takes the remainder, 9 pixels.
+        rng = np.random.default_rng(3)
+        cube = HyperCube(rng.normal(size=(5, 6, 3)).astype(np.float32))
+        write_cube(cube, tmp_path / "c.json")
+        monkeypatch.setattr("acdkit.core._BLOCK", 7)
+        again = read_cube(tmp_path / "c.json")
+        assert again.data.tobytes() == cube.data.tobytes()
+        assert again.data.flags.c_contiguous and not again.data.flags.writeable
+
+    def test_holds_the_cube_and_one_row_block(self, tmp_path):
+        # Reading the whole payload first would add half a cube of float32.
+        cube = HyperCube(np.ones((128, 128, 16), dtype=np.float32))
+        write_cube(cube, tmp_path / "c.json")
+        assert peak_in_pixel_matrices(lambda: read_cube(tmp_path / "c.json"), cube) <= 1.1
 
     def test_malformed_header_json(self, tmp_path):
         path = tmp_path / "c.json"

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from acdkit.errors import ValidationError
 from acdkit.linalg import (
-    _center_in_place,
     default_ridge,
     eigh,
     generalized_eigh,
@@ -65,19 +64,43 @@ class TestMeanCov:
         mean_cov(m)
         assert_array_equal(m, before)
 
-    def test_in_place_centering_gives_the_same_bits(self):
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=(25, 4)) + 5.0
-        base = mean_cov(m)
-        owned = m.copy()
-        stats = _center_in_place(owned)
-        assert stats.mean.tobytes() == base.mean.tobytes()
-        assert stats.cov.tobytes() == base.cov.tobytes()
-        assert owned.tobytes() == (m - base.mean).tobytes()
+    @pytest.mark.parametrize("rows", [500, 2048, 2050], ids=["1-block", "2-blocks", "tail"])
+    def test_blocked_moments_match_the_direct_two_pass_formula(self, rows):
+        # 2050 rows make two 1024-row blocks, the last taking a 2-row tail.
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 6)) @ rng.normal(size=(6, 6)) + 3.0
+        y = 0.8 * x + rng.normal(scale=0.2, size=(rows, 6)) - 1.0
 
-    def test_in_place_centering_rejects_single_row(self):
-        with pytest.raises(ValidationError, match="2 rows"):
-            _center_in_place(np.ones((1, 3)))
+        def direct(m, partner=None):
+            centered = m - m.mean(axis=0)
+            cov = centered.T @ centered / rows
+            if partner is None:
+                return m.mean(axis=0), cov, None
+            return m.mean(axis=0), cov, centered.T @ (partner - partner.mean(axis=0)) / rows
+
+        def close(actual, expected):
+            assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+        for stats, (mean, cov, cross) in [
+            (mean_cov(x), direct(x)),
+            (mean_cov(x, minus=y), direct(x - y)),
+            (mean_cov(x, cross=y), direct(x, y)),
+        ]:
+            close(stats.mean, mean)
+            close(stats.cov, cov)
+            if cross is None:
+                assert stats.cross is None
+            else:
+                close(stats.cross, cross)
+
+    def test_plain_mean_is_the_column_mean_bit_for_bit(self):
+        m = np.random.default_rng(8).normal(size=(2050, 4)) + 5.0
+        assert mean_cov(m).mean.tobytes() == m.mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("keyword", ["minus", "cross"])
+    def test_rejects_a_partner_of_another_shape(self, keyword):
+        with pytest.raises(ValidationError, match=keyword):
+            mean_cov(np.ones((4, 3)), **{keyword: np.ones((4, 2))})
 
 
 class TestEigh:

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from acdkit.acda import bottleneck
 from acdkit.errors import NumericalError, ValidationError
 from acdkit.neural import (
+    _step_scratch,
     AdamState,
     MlpParams,
     NetworkShape,
@@ -360,6 +361,22 @@ class TestTrain:
         for (a, b), seed, got in zip(roles, seeds, trained):
             alone = reference_train(shape, SampleSet(inputs[a], labels[b]), config, seed)
             assert_same_net(got, alone)
+
+    def test_lockstep_makes_its_step_buffers_once(self, monkeypatch):
+        # 37 samples at batch 8 for 6 epochs: 30 steps, the short ones on the
+        # start of the full batch's buffers.
+        made = []
+
+        def counted(weights, lead):
+            made.append(lead)
+            return _step_scratch(weights, lead)
+
+        monkeypatch.setattr("acdkit.neural._step_scratch", counted)
+        rng = np.random.default_rng(71)
+        inputs, labels = rng.normal(size=(37, 4)), rng.uniform(0.0, 1.0, size=(37, 4))
+        config = TrainConfig(epochs=6, batch_size=8, learning_rate=1e-2)
+        _train_one(NetworkShape(4, (6, 5), 4), inputs, labels, config, seed=13)
+        assert made == [(1, 8)]
 
     def test_lockstep_leaves_pools_unchanged_and_returns_unshared_nets(self):
         # Training updates its buffers in place; none of that may reach the
