@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HyperCube, IntensityMap, _check_cubes, _require_int, flatten, fuse_min, loss_map
+from .core import (
+    HyperCube,
+    IntensityMap,
+    _check_cubes,
+    _float_matrix,
+    _require_int,
+    flatten,
+    fuse_min,
+    loss_map,
+)
 from .errors import NumericalError, ValidationError
 from .neural import (
     MlpParams,
@@ -98,9 +107,10 @@ def predict_image(params: MlpParams, rows: np.ndarray) -> np.ndarray:
     """Row-wise forward pass (`neural._layers`) over an (M, Q) pixel matrix.
 
     Only the layer being computed and its input are held. `core.loss_map`
-    calls this on one row block at a time.
+    calls this on one row block at a time; a float32 block (a cube's
+    storage) is widened to float64 by the first layer's product.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = _float_matrix(rows)
     if rows.ndim != 2 or rows.shape[1] != params.input_dim:
         raise ValidationError(
             f"image shape {rows.shape} does not match network input {params.input_dim}"

@@ -11,7 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HyperCube, IntensityMap, _check_cubes, _check_pair, flatten, fuse_min, loss_map
+from .core import (
+    HyperCube,
+    IntensityMap,
+    _check_cubes,
+    _check_pair,
+    _float_matrix,
+    flatten,
+    fuse_min,
+    loss_map,
+)
 from .errors import ValidationError
 from .linalg import _shifted_eigh, _whitened_norms, inv_sqrt, mean_cov, sym_sqrt
 
@@ -42,7 +51,7 @@ class LinearPredictor:
         object.__setattr__(self, "mean_out", mean_out)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _float_matrix(x)  # a float32 block is widened by the centering
         if x.ndim != 2 or x.shape[1] != self.gain.shape[1]:
             raise ValidationError(
                 f"input shape {x.shape} does not match gain {self.gain.shape}"
@@ -86,7 +95,7 @@ def fit_cc(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPr
     stats_x = mean_cov(x, cross=y)
     shifted, vectors = _shifted_eigh(stats_x.cov, ridge, "cov_xx")
     gain = (stats_x.cross.T @ vectors) / shifted @ vectors.T
-    return LinearPredictor(gain, stats_x.mean, y.mean(axis=0))
+    return LinearPredictor(gain, stats_x.mean, y.mean(axis=0, dtype=np.float64))
 
 
 def fit_ce(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> LinearPredictor:

@@ -5,11 +5,13 @@ and a raw little-endian float32 payload in band-sequential order (band 0's
 full H x W plane first). Ground-truth masks are binary PGM (P5). Intensity
 maps reuse the cube container with bands=1.
 
-In memory a cube holds its values once, as the read-only float64 array that
-every detector computes in; each value is a float32 value, so the container
-round-trips bit for bit and `flatten` is a zero-copy view. All types are
-immutable after construction; loading rejects non-finite values outright
-because every downstream statistic silently corrupts on NaN/Inf.
+In memory a cube holds its values once, as a read-only float32 array: the
+container's own precision, so it round-trips bit for bit and `flatten` is a
+zero-copy view. Every detector widens one row block (or one gathered
+sample set) at a time to float64 before any arithmetic, so the float32
+storage changes no bit of any result. All types are immutable after
+construction; loading rejects non-finite values outright because every
+downstream statistic silently corrupts on NaN/Inf.
 
 Every detector's map goes through the one row-block loop here
 (`_pixel_map`); the predictors' per-pixel loss maps and their min fusion
@@ -37,11 +39,11 @@ _BLOCK = 1024  # rows per block in blocked scoring, moments and cube reads
 class HyperCube:
     """An H x W x Q radiance cube, shape (height, width, bands).
 
-    `data` is a read-only, C-contiguous float64 array of float32 values: the
-    constructor rounds its input through float32 (float32 input is copied
-    exactly), so the cube holds what its float32 container file holds. NaN
-    or Inf input raises ValidationError; a finite value beyond the float32
-    range raises NumericalError.
+    `data` is a read-only, C-contiguous float32 array, what the cube's
+    container file holds: float32 input is copied exactly, any other input
+    is rounded into float32 by one cast. NaN or Inf input raises
+    ValidationError; a finite value beyond the float32 range raises
+    NumericalError.
     """
 
     data: np.ndarray
@@ -52,11 +54,8 @@ class HyperCube:
             raise ValidationError(f"cube data must be 3-D (H, W, Q), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError(f"cube dimensions must all be >= 1, got {arr.shape}")
-        # The ufunc computes in float32, so each value is rounded through
-        # float32 in numpy's small cast buffers, not in a float32 cube.
-        values = np.empty(arr.shape)
         with np.errstate(over="ignore"):
-            np.positive(arr, out=values, dtype=np.float32, casting="unsafe")
+            values = np.array(arr, dtype=np.float32, order="C")
         # NaN and ±Inf reach the minimum or the maximum, so no whole-cube mask is needed.
         if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             # Only a failed check looks at the input again: NaN/Inf there is
@@ -127,8 +126,8 @@ def flatten(cube: HyperCube) -> np.ndarray:
     """Return the M x Q pixel matrix of `cube` in row-major spatial order.
 
     Row (r * W + c) is the spectrum at (r, c). The matrix is a zero-copy,
-    read-only float64 view of `cube.data`; a cast to float32 restores the
-    container's values exactly.
+    read-only float32 view of `cube.data`; consumers widen one row block at
+    a time to float64.
     """
     h, w, q = cube.shape
     return cube.data.reshape(h * w, q)
@@ -173,11 +172,14 @@ def loss_map(
 
     Rows are predicted and scored one `_pixel_map` block at a time,
     so each row's loss is the one a whole-matrix pass gives, bit for bit.
-    `predict` maps a (rows, Q) block to a new (rows, Q) array, which is
-    overwritten. A non-finite loss raises NumericalError.
+    `source` and `target` are float32 or float64 matrices (anything else is
+    promoted to float64, see `_float_matrix`); `predict` maps a (rows, Q)
+    block of `source` to a new float64 (rows, Q) array, which is overwritten
+    by the loss, so each target block is widened as it is subtracted. A
+    non-finite loss raises NumericalError.
     """
-    source = np.asarray(source, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    source = _float_matrix(source)
+    target = _float_matrix(target)
     if source.shape != target.shape or source.ndim != 2:
         raise ValidationError(f"matrices disagree: {source.shape} vs {target.shape}")
 
@@ -251,10 +253,20 @@ def _write_text(path, text: str, what: str) -> None:
         raise DataIOError(f"cannot write {what} {path}: {exc}") from exc
 
 
+def _float_matrix(m) -> np.ndarray:
+    """`m` as an array, float32 or float64 as it is and anything else promoted to float64.
+
+    A float32 matrix is a cube's storage: its consumers widen one row block
+    at a time, so no pixel-sized float64 copy is made.
+    """
+    arr = np.asarray(m)
+    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+
+
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Promote two (M, Q) pixel matrices to float64 and require equal shapes."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """Require two (M, Q) pixel matrices of equal shape, as `_float_matrix` arrays."""
+    x = _float_matrix(x)
+    y = _float_matrix(y)
     if x.ndim != 2 or y.ndim != 2:
         raise ValidationError("pixel matrices must be 2-D (pixels x bands)")
     if x.shape != y.shape:
@@ -301,7 +313,7 @@ def read_cube(path) -> HyperCube:
 
     raw_path = _raw_path(header_path, header["raw"])
     rows = h * w
-    values = np.empty((h, w, q))
+    values = np.empty((h, w, q), dtype=np.float32)
     pixels = values.reshape(rows, q)
     try:
         with raw_path.open("rb") as raw:
@@ -325,7 +337,7 @@ def read_cube(path) -> HyperCube:
     except OSError as exc:
         raise DataIOError(f"cannot read raw payload {raw_path}: {exc}") from exc
     # Every value was read as float32 and checked, so the constructor's
-    # rounding pass and copy would change nothing.
+    # copy would change nothing.
     values.flags.writeable = False
     cube = object.__new__(HyperCube)
     object.__setattr__(cube, "data", values)

@@ -1,10 +1,12 @@
 """Dense symmetric linear algebra for the detectors.
 
-Everything here works on plain float64 numpy arrays. Eigendecompositions go
-through LAPACK (`np.linalg.eigh`) with a fixed eigenvector sign convention,
-so reruns on one machine are bit-identical. Covariance
-matrices from natural scenes are routinely near-singular, so every inversion
-accepts a ridge; pass None to get the default 1e-6 * trace / dim.
+Everything here computes in float64. Pixel matrices may be float32 (a
+cube's storage); the moments and the whitened scorer widen them one row
+block at a time. Eigendecompositions go through LAPACK (`np.linalg.eigh`)
+with a fixed eigenvector sign convention, so reruns on one machine are
+bit-identical. Covariance matrices from natural scenes are routinely
+near-singular, so every inversion accepts a ridge; pass None to get the
+default 1e-6 * trace / dim.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityMap, _pixel_map, _require_number, _row_blocks
+from .core import IntensityMap, _float_matrix, _pixel_map, _require_number, _row_blocks
 from .errors import NumericalError, ValidationError
 
 _SYMMETRY_RTOL = 1e-9
@@ -71,9 +73,12 @@ def mean_cov(
     the centered columns sum to zero, so centering `cross` too would change
     only the rounding. Both passes of the two-pass algorithm (Chan, Golub &
     LeVeque, 1983) run over the `core._row_blocks` that scoring uses, so no
-    pixel-sized temporary is held. A plain matrix's mean is `m.mean(axis=0)`.
+    pixel-sized temporary is held. `m` (and `minus`, `cross`) may be float32
+    or float64 (see `core._float_matrix`); every block is widened to float64
+    before any arithmetic, and a plain matrix's mean is
+    `m.mean(axis=0, dtype=np.float64)`, so float32 storage changes no bit.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = _float_matrix(m)
     if m.ndim != 2:
         raise ValidationError(f"pixel matrix must be 2-D, got shape {m.shape}")
     rows = m.shape[0]
@@ -84,10 +89,10 @@ def mean_cov(
             raise ValidationError(f"{name} matrix {np.shape(other)} does not match {m.shape}")
 
     def rows_of(part: slice) -> np.ndarray:
-        return m[part] if minus is None else m[part] - minus[part]
+        return m[part] if minus is None else np.subtract(m[part], minus[part], dtype=np.float64)
 
     if minus is None:
-        mean = m.mean(axis=0)
+        mean = m.mean(axis=0, dtype=np.float64)
     else:
         mean = sum(rows_of(part).sum(axis=0) for part in _row_blocks(rows)) / rows
     cov = np.zeros((m.shape[1], m.shape[1]))
@@ -113,7 +118,7 @@ def _whitened_norms(
     """
 
     def score(part: slice) -> np.ndarray:
-        white = ((x[part] - y[part]) - mean) @ whitener
+        white = (np.subtract(x[part], y[part], dtype=np.float64) - mean) @ whitener
         return np.einsum("ij,ij->i", white, white)
 
     return _pixel_map(score, x.shape[0], shape)

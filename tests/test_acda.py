@@ -492,14 +492,16 @@ class TestRunAcda:
 class TestPeakMemory:
     """Scoring, pre-detection and the baselines hold row blocks, not pixel matrices.
 
-    On the 64 x 64 x 16 scene the peaks measure about 2.0 (the run, set by
-    training's buffers, which do not grow with the image), 0.57 (scoring one
-    net), 0.89 (pre-detection) and 0.88 (Diff-RX) pixel matrices, a 1024-row
-    block being a quarter of the image there; a float64 copy of both cubes
-    adds 2, and scoring that predicts the whole image first reaches 1 or
-    more. On the 128 x 128 x 16 scene a 1024-row
+    The cubes are float32 and every step widens one row block at a time to
+    float64, so a unit here (one float64 pixel matrix) is two cubes' worth
+    of storage. On the 64 x 64 x 16 scene the peaks measure about 1.7 (the
+    run, set by training's buffers, which do not grow with the image), 0.57
+    (scoring one net), 0.89 (pre-detection) and 0.88 (Diff-RX) pixel
+    matrices, a 1024-row block being a quarter of the image there; a float64
+    copy of both cubes adds 2, and scoring that predicts the whole image
+    first reaches 1 or more. On the 128 x 128 x 16 scene a 1024-row
     block is 1/16 of the image: scoring one net or one CC direction measures
-    about 0.19 and 0.3, Diff-RX 0.22, both CC or CE directions with their
+    about 0.19 and 0.22, Diff-RX 0.22, both CC or CE directions with their
     scoring 0.28, and pre-detection 0.41 (k-means keeps a few per-pixel
     vectors). Taking any moments on a whole difference or a centered copy
     of a cube adds one pixel matrix.

@@ -10,6 +10,7 @@ from acdkit.core import (
     GroundTruthMask,
     HyperCube,
     IntensityMap,
+    _float_matrix,
     _pixel_map,
     cube_to_map,
     flatten,
@@ -103,6 +104,21 @@ class TestReadCube:
         write_cube(cube, tmp_path / "c.json")
         assert peak_in_pixel_matrices(lambda: read_cube(tmp_path / "c.json"), cube) <= 1.1
 
+    def test_holds_a_float32_cube_and_one_row_block(self, tmp_path):
+        # The float32 cube is half a float64 pixel matrix; a float64 cube
+        # would be one, and reading the whole payload first would add half.
+        cube = HyperCube(np.ones((128, 128, 16), dtype=np.float32))
+        write_cube(cube, tmp_path / "c.json")
+        assert peak_in_pixel_matrices(lambda: read_cube(tmp_path / "c.json"), cube) <= 0.6
+
+    def test_flatten_is_a_read_only_float32_view(self, tmp_path):
+        write_cube(HyperCube(np.arange(24.0).reshape(2, 3, 4)), tmp_path / "c.json")
+        cube = read_cube(tmp_path / "c.json")
+        pixels = flatten(cube)
+        assert cube.data.dtype == pixels.dtype == np.float32
+        assert not pixels.flags.writeable
+        assert np.shares_memory(pixels, cube.data)
+
     def test_malformed_header_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json", encoding="utf-8")
@@ -179,6 +195,20 @@ class TestFlatten:
     def test_is_a_view_of_the_cube(self):
         cube = HyperCube(np.ones((3, 4, 2), dtype=np.float32))
         assert np.shares_memory(flatten(cube), cube.data)
+
+
+class TestFloatMatrix:
+    def test_keeps_float32_and_float64_as_they_are(self):
+        for dtype in (np.float32, np.float64):
+            m = np.ones((3, 2), dtype=dtype)
+            assert _float_matrix(m) is m
+
+    def test_promotes_anything_else_to_float64(self):
+        for values in (np.ones((3, 2), dtype=np.int64), np.ones((3, 2), dtype=np.float16),
+                       [[1, 2], [3, 4]]):
+            m = _float_matrix(values)
+            assert m.dtype == np.float64
+            assert_array_equal(m, np.asarray(values, dtype=np.float64))
 
 
 class TestPixelMap:
@@ -273,6 +303,16 @@ class TestTypeValidation:
         data[0, 0, 0] = np.nan
         with pytest.raises(ValidationError, match="NaN or Inf"):
             HyperCube(data)
+
+    def test_cube_copies_float32_and_rounds_other_input_once(self):
+        narrow = np.array([1.0, 0.1, -2.5e-40], dtype=np.float32).reshape(1, 1, 3)
+        cube = HyperCube(narrow)
+        assert cube.data.dtype == np.float32 and cube.data.flags.c_contiguous
+        assert cube.data.tobytes() == narrow.tobytes()
+        assert not np.shares_memory(cube.data, narrow)
+        wide = np.array([0.1, 1 / 3, 3.4e38]).reshape(1, 3, 1)
+        assert HyperCube(wide).data.tobytes() == wide.astype(np.float32).tobytes()
+        assert HyperCube(np.arange(6).reshape(1, 2, 3)).data.dtype == np.float32
 
     def test_cube_data_is_read_only(self):
         cube = HyperCube(np.ones((2, 2, 2), dtype=np.float32))

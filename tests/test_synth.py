@@ -186,7 +186,7 @@ class TestGenerate:
         assert x.data.shape == (16, 20, 8)
         assert y.data.shape == (16, 20, 8)
         assert truth.labels.shape == (16, 20)
-        assert x.data.dtype == np.float64
+        assert x.data.dtype == np.float32
         assert np.array_equal(x.data, x.data.astype(np.float32))
 
     def test_noise_separates_acquisitions(self):
