@@ -143,11 +143,11 @@ def run_acda(
     (`derived_seed(base_seed + r, 0)` for x -> y, `..., 1)` for y -> x), so
     every repeat starts from fresh weights while the whole run stays
     reproducible. All 2 x repeats predictors train together in one
-    `train_lockstep` call on one (2, S, Q) pool, the x and y rows of
-    `samples`; each equals the net that a step-by-step loop over `loss`,
-    `backward` and `adam_step` trains from its seed, bit for bit. The mean
-    map is the pixelwise average of the fused maps, accumulated in repeat
-    order, so reruns are bit-identical. A predictor whose training loss
+    `train_lockstep` call on `samples.pool`, the (2, S, Q) array that holds
+    the x and y rows once; each equals the net that a step-by-step loop
+    over `loss`, `backward` and `adam_step` trains from its seed, bit for
+    bit. The mean map is the pixelwise average of the fused maps,
+    accumulated in repeat order, so reruns are bit-identical. A predictor whose training loss
     turns non-finite raises NumericalError naming its repeat, direction and
     epoch, and one whose loss map does so names its repeat and direction.
     """
@@ -163,7 +163,7 @@ def run_acda(
     names = [f"repeat {r} {('fwd', 'bwd')[direction]} predictor" for r, direction in nets]
     trained = train_lockstep(
         bottleneck(x_cube.bands, cfg.h1, cfg.h2),
-        np.stack([samples.inputs, samples.labels]),
+        samples.pool,
         [(direction, 1 - direction) for _, direction in nets],
         [derived_seed(cfg.base_seed + r, direction) for r, direction in nets],
         cfg.train,

@@ -263,6 +263,46 @@ def _float_matrix(m) -> np.ndarray:
     return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct values of an array, as `np.unique` returns them.
+
+    This is `np.unique`'s own sort path: sort a flat copy, then keep each
+    value that differs from the one before it. Calling `np.unique` itself
+    would import `numpy.ma`, which it asks whether the input is masked.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _quantile(values, q) -> np.ndarray:
+    """`np.quantile(values, q)` for 1-D `q` in [0, 1], bit for bit, over a flat copy.
+
+    NumPy's default linear method: the virtual index v = q (n - 1) falls
+    between order statistics a = floor(v) and b = a + 1, found by one
+    `np.partition`, and with g = v - floor(v) the result is a + (b - a) g,
+    or b - (b - a)(1 - g) where g >= 0.5. At the top (v = n - 1) both
+    neighbours are the last order statistic and NumPy counts g from index
+    -1, and it partitions at its distinct indices plus 0 and -1; doing the
+    same keeps the sign of a zero result. `np.quantile` would import
+    `numpy.ma`, through the `np.unique` it runs on those indices.
+    """
+    virtual = (np.size(values) - 1) * np.asarray(q, dtype=np.float64)
+    top = virtual >= np.size(values) - 1
+    below = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(top, -1, below + 1)
+    kth = _distinct(np.concatenate([[0, -1], below, above]))
+    ordered = np.partition(values, kth, axis=None)
+    lo, hi = ordered[below], ordered[above]
+    gamma = virtual - below
+    step = hi - lo
+    result = lo + step * gamma
+    np.subtract(hi, step * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result
+
+
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Require two (M, Q) pixel matrices of equal shape, as `_float_matrix` arrays."""
     x = _float_matrix(x)

@@ -6,7 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundTruthMask, IntensityMap, _write_text, write_pgm
+from .core import (
+    GroundTruthMask,
+    IntensityMap,
+    _distinct,
+    _quantile,
+    _row_blocks,
+    _write_text,
+    write_pgm,
+)
 from .errors import ValidationError
 
 
@@ -67,7 +75,7 @@ def roc(intensity: IntensityMap, truth: GroundTruthMask) -> RocCurve:
     labels = truth.labels.ravel()
     pos = np.sort(scores[labels == 1])
     neg = np.sort(scores[labels == 0])
-    distinct = np.unique(scores)[::-1]
+    distinct = _distinct(scores)[::-1]
     # count of scores >= t in a sorted-ascending array: size - searchsorted(left)
     tp = pos.size - np.searchsorted(pos, distinct, side="left")
     fp = neg.size - np.searchsorted(neg, distinct, side="left")
@@ -85,7 +93,7 @@ def stretch2(intensity: IntensityMap) -> np.ndarray:
     half away from zero. A constant map comes back all zeros.
     """
     values = intensity.values
-    lo, hi = np.percentile(values, [2.0, 98.0])
+    lo, hi = _quantile(values, np.true_divide([2.0, 98.0], 100))
     if hi <= lo:
         return np.zeros(values.shape, dtype=np.uint8)
     scaled = (np.clip(values, lo, hi) - lo) / (hi - lo) * 255.0
@@ -101,11 +109,14 @@ def export_curve(curve: RocCurve, path) -> None:
     """Write `threshold,far,dr` rows plus a trailing `# auc=` comment.
 
     Floats are written with full round-trip precision so a re-parse
-    reproduces the points exactly; the auc comment uses 6 decimals.
+    reproduces the points exactly; the auc comment uses 6 decimals. Each
+    column is formatted one row block at a time as Python floats (`tolist`),
+    one `repr` per value, so only a block's floats are alive at once.
     """
+    columns = (curve.thresholds, curve.far, curve.dr)
     lines = ["threshold,far,dr"]
-    for t, f, d in zip(curve.thresholds, curve.far, curve.dr):
-        lines.append(f"{float(t)!r},{float(f)!r},{float(d)!r}")
+    for part in _row_blocks(curve.thresholds.size):
+        lines += map(",".join, zip(*(map(repr, column[part].tolist()) for column in columns)))
     lines.append(f"# auc={curve.auc:.6f}")
     _write_text(path, "\n".join(lines) + "\n", "curve")
 

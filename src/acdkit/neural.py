@@ -22,11 +22,11 @@ net, so there is one Adam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _require_int, _require_number
+from .core import _float_matrix, _require_int, _require_number
 from .errors import NumericalError, ValidationError
 
 _ADAM_BETA1 = 0.9
@@ -125,15 +125,23 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired (input, label) spectra; row i of both sides comes from one pixel."""
+    """Paired (input, label) spectra; row i of both sides comes from one pixel.
 
-    inputs: np.ndarray  # (S, Q)
-    labels: np.ndarray  # (S, Q)
+    The pairs are held once, in one float64 buffer `data`: the inputs, then
+    the labels. `inputs` and `labels` are views into it, and with one width
+    on both sides `pool` is the (2, S, Q) view that `train_lockstep` trains
+    on, so training copies no sample. The constructor checks the shapes and
+    finiteness of what it is given before it widens both into `data`.
+    """
+
+    inputs: np.ndarray  # (S, Q_in)
+    labels: np.ndarray  # (S, Q_out)
     indices: np.ndarray | None = None  # source pixel rows, kept for audit
+    data: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.float64)
+        inputs = _float_matrix(self.inputs)
+        labels = _float_matrix(self.labels)
         if inputs.ndim != 2 or labels.ndim != 2:
             raise ValidationError("sample inputs and labels must be 2-D matrices")
         if inputs.shape[0] != labels.shape[0]:
@@ -142,14 +150,28 @@ class SampleSet:
             )
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(labels))):
             raise ValidationError("sample set contains non-finite values")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
+        data = np.empty(inputs.size + labels.size)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "inputs", data[: inputs.size].reshape(inputs.shape))
+        object.__setattr__(self, "labels", data[inputs.size :].reshape(labels.shape))
+        self.inputs[...] = inputs
+        self.labels[...] = labels
         if self.indices is not None:
             object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
+
+    @property
+    def pool(self) -> np.ndarray:
+        """`data` as a (2, S, Q) array: block 0 the inputs, block 1 the labels."""
+        if self.inputs.shape != self.labels.shape:
+            raise ValidationError(
+                f"a sample pool needs one width, got inputs {self.inputs.shape} "
+                f"and labels {self.labels.shape}"
+            )
+        return self.data.reshape(2, *self.inputs.shape)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityMap, _check_pair
+from .core import IntensityMap, _check_pair, _distinct, _quantile
 from .errors import NumericalError, ValidationError
 from .linalg import _whitened_norms, generalized_eigh, mean_cov
 from .neural import SampleSet
@@ -121,7 +121,7 @@ def usfa_intensity(
 
 def _init_centers(values: np.ndarray, k: int) -> np.ndarray:
     quantiles = (2.0 * np.arange(k) + 1.0) / (2.0 * k)
-    return np.quantile(values, quantiles)
+    return _quantile(values, quantiles)
 
 
 def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
@@ -139,8 +139,9 @@ def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
     flat = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(flat)):
         raise ValidationError("values to cluster contain NaN or Inf entries")
-    if flat.size < k or np.unique(flat).size < k:
-        raise ValidationError(f"need at least {k} distinct values, got {np.unique(flat).size}")
+    distinct = _distinct(flat).size
+    if distinct < k:
+        raise ValidationError(f"need at least {k} distinct values, got {distinct}")
     centers = _init_centers(flat, k)
     assignments = np.full(flat.size, -1, dtype=np.int64)
     nearest = np.empty_like(assignments)
@@ -172,7 +173,7 @@ def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
             # the same values as flat[assignments == cluster], gathered faster
             centers[cluster] = np.compress(assignments == cluster, flat).mean()
     order = np.argsort(centers, kind="stable")
-    if np.unique(centers).size != k:
+    if _distinct(centers).size != k:
         raise NumericalError("clustering collapsed to duplicate centers")
     rank = np.empty(k, dtype=np.int64)
     rank[order] = np.arange(k)
@@ -211,7 +212,7 @@ def select_samples(
         raise ValidationError(
             f"intensity covers {scores.size} pixels, matrices have {x.shape[0]}"
         )
-    distinct = np.unique(scores).size
+    distinct = _distinct(scores).size
     if distinct < 3:
         raise NumericalError(
             f"change intensity takes only {distinct} distinct value(s): the pair shows "

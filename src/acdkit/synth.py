@@ -15,7 +15,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import GroundTruthMask, HyperCube, _read_json_object, _require_int, _require_number
+from .core import (
+    _BLOCK,
+    GroundTruthMask,
+    HyperCube,
+    _quantile,
+    _read_json_object,
+    _require_int,
+    _require_number,
+)
 from .errors import NumericalError, ValidationError
 
 CONDITIONS = ("identical", "affine", "nonlinear")
@@ -256,7 +264,7 @@ def _fit_condition(
         return affine
     image = affine.apply(background).reshape(-1, spec.bands)
     knees = rng.uniform(*_TANH_KNEE_QUANTILES, (n_knees, spec.bands))
-    centers = np.stack([np.quantile(image[:, b], knees[:, b]) for b in range(spec.bands)], axis=1)
+    centers = np.stack([_quantile(image[:, b], knees[:, b]) for b in range(spec.bands)], axis=1)
     amps = rng.uniform(0.5, 1.0, (n_knees, spec.bands)) / n_knees
     return _ConditionMap(s, gains, offsets, amps, centers)
 
@@ -294,14 +302,27 @@ def _mix(fields_: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     linear mixing leaves the scene on a low-dimensional affine manifold
     where cross-band linear predictors are far more powerful than on
     real data.
+
+    The cube is mixed one slab of image rows (about `_BLOCK` pixels) at a
+    time, so each pair's pass stays in cache; every value takes the same
+    operations in the same order as a whole-cube pass, bit for bit.
     """
-    linear = np.einsum("ehw,eb->hwb", fields_, spectra)
-    bilinear = np.zeros_like(linear)
-    for e, f in itertools.combinations(range(len(fields_)), 2):
-        bilinear += (fields_[e] * fields_[f])[..., np.newaxis] * (spectra[e] * spectra[f])
-    bilinear *= _MIX_BILINEAR
-    linear += bilinear
-    return linear
+    height, width = fields_.shape[1:]
+    mixed = np.empty((height, width, spectra.shape[1]))
+    pairs = [
+        (fields_[e], fields_[f], spectra[e] * spectra[f])
+        for e, f in itertools.combinations(range(len(fields_)), 2)
+    ]
+    step = max(1, _BLOCK // width)
+    for top in range(0, height, step):
+        rows = slice(top, top + step)
+        linear = np.einsum("ehw,eb->hwb", fields_[:, rows], spectra, out=mixed[rows])
+        bilinear = np.zeros_like(linear)
+        for field_e, field_f, product in pairs:
+            bilinear += (field_e[rows] * field_f[rows])[..., np.newaxis] * product
+        bilinear *= _MIX_BILINEAR
+        linear += bilinear
+    return mixed
 
 
 def generate(spec: SceneSpec) -> tuple[HyperCube, HyperCube, GroundTruthMask]:

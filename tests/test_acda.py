@@ -59,10 +59,9 @@ def _train_directions(samples, cfg, seeds):
     Direction is set by the roles alone: the net of seeds[0] maps x rows to
     y rows, the net of seeds[1] (if given) y rows to x rows.
     """
-    pair = np.stack([samples.inputs, samples.labels])
     roles = [(0, 1), (1, 0)][: len(seeds)]
     return train_lockstep(
-        bottleneck(pair.shape[2], cfg.h1, cfg.h2), pair, roles, seeds, cfg.train,
+        bottleneck(samples.pool.shape[2], cfg.h1, cfg.h2), samples.pool, roles, seeds, cfg.train,
         [f"net {k}" for k in range(len(seeds))],
     )
 
@@ -471,6 +470,24 @@ class TestRunAcda:
         y = HyperCube(np.ones((4, 5, 3), dtype=np.float32))
         with pytest.raises(ValidationError, match="disagree"):
             run_acda(x, y, _run_cfg())
+
+    def test_trains_on_the_sample_pool_without_a_copy(self, monkeypatch):
+        pools = []
+
+        def recorded(shape, pool, *args):
+            pools.append(pool)
+            return train_lockstep(shape, pool, *args)
+
+        monkeypatch.setattr("acdkit.acda.train_lockstep", recorded)
+        x, y, _ = generate(_scene(seed=7))
+        cfg = _run_cfg(repeats=2, epochs=2)
+        samples = prepare_samples(x, y, cfg)
+        run_acda(x, y, cfg, samples=samples)
+        (pool,) = pools
+        assert pool.shape == (2, samples.size, x.bands)
+        assert pool.base is samples.data
+        assert pool[0].ctypes.data == samples.inputs.ctypes.data
+        assert pool[1].ctypes.data == samples.labels.ctypes.data
 
     def test_non_finite_loss_map_names_its_net(self, monkeypatch):
         # Weights scaled by 1e80 overflow the prediction; the run must fail

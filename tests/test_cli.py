@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on small synthetic scenes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -535,6 +536,36 @@ class TestSweep:
             expected.append(f"{h2}," + ",".join(cells))
         assert (out / "sweep.csv").read_text() == "\n".join(expected) + "\n"
 
+    def test_every_cell_trains_on_the_one_sample_pool(self, ws, tmp_path, monkeypatch):
+        import acdkit.acda as acda_module
+
+        drawn, pools = [], []
+        prepare, train = acda_module.prepare_samples, acda_module.train_lockstep
+
+        def recorded_prepare(*args):
+            drawn.append(prepare(*args))
+            return drawn[-1]
+
+        def recorded_train(shape, pool, *args):
+            pools.append(pool)
+            return train(shape, pool, *args)
+
+        monkeypatch.setattr(acda_module, "prepare_samples", recorded_prepare)
+        monkeypatch.setattr(acda_module, "train_lockstep", recorded_train)
+        small = ws["small"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [6, 5], "h2": [4], "epochs": 1, "repeats": 1}),
+                        encoding="utf-8")
+        code = main(["sweep", str(small["x"]), str(small["y"]), str(small["truth"]),
+                     str(grid), "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        (samples,) = drawn
+        assert len(pools) == 2
+        for pool in pools:  # a view of the samples' own buffer, not a copy
+            assert pool.base is samples.data
+            assert pool[0].ctypes.data == samples.inputs.ctypes.data
+            assert pool[1].ctypes.data == samples.labels.ctypes.data
+
     def test_failed_predetection_marks_every_cell_nan(self, ws, tmp_path, monkeypatch, caplog):
         calls = self._count_predetection(monkeypatch)
         flat = ws["flat"]
@@ -734,7 +765,7 @@ import json, sys
 import acdkit.cli
 code = acdkit.cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "acdkit")
-print(json.dumps([code, loaded, "logging" in sys.modules]))
+print(json.dumps([code, loaded, "logging" in sys.modules, "numpy.ma" in sys.modules]))
 """
 _SHARED = {"acdkit", "acdkit.cli", "acdkit.core", "acdkit.errors"}
 _LINEAR = _SHARED | {"acdkit.linalg", "acdkit.baselines"}
@@ -760,16 +791,18 @@ class TestImports:
             capture_output=True, text=True, env=env, timeout=120, check=False,
         )
         assert done.returncode == 0, done.stderr
-        code, loaded, logging_loaded = json.loads(done.stdout.splitlines()[-1])
+        code, loaded, logging_loaded, ma_loaded = json.loads(done.stdout.splitlines()[-1])
         assert code == 0, done.stderr
-        return set(loaded), logging_loaded
+        return set(loaded), logging_loaded, ma_loaded
 
     @pytest.mark.parametrize("command", list(_LOADED))
     def test_command_loads_only_its_modules(self, ws, tmp_path, command):
         small = ws["small"]
         x, y, truth = str(small["x"]), str(small["y"]), str(small["truth"])
         if command == "synth":
-            argv = ["synth", str(small["spec_path"])]
+            # a nonlinear condition places its tanh knees at quantiles of the background
+            spec = dataclasses.replace(small["spec"], condition="nonlinear")
+            argv = ["synth", str(_write_spec(tmp_path / "spec.json", spec))]
         elif command == "eval":
             assert main(["detect", "cc", x, y, "--out", str(tmp_path / "cc")]) == 0
             argv = ["eval", str(tmp_path / "cc" / "map.json"), truth]
@@ -782,7 +815,9 @@ class TestImports:
             argv = ["detect", "acda", x, y, "--set", "epochs=1", "--set", "repeats=1"]
         else:
             argv = ["detect", command, x, y]
-        loaded, logging_loaded = self._loaded_by(argv + ["--out", str(tmp_path / "o")])
+        loaded, logging_loaded, ma_loaded = self._loaded_by(argv + ["--out", str(tmp_path / "o")])
         assert loaded == _LOADED[command]
+        # np.unique, np.quantile and np.percentile would import numpy.ma (1 MB, 10-20 ms)
+        assert not ma_loaded
         if command not in ("acda", "sweep"):
             assert not logging_loaded

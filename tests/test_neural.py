@@ -480,6 +480,25 @@ class TestTrain:
 
 
 class TestSampleSet:
+    def test_pairs_are_held_once_in_one_pool(self):
+        rng = np.random.default_rng(3)
+        inputs = rng.normal(size=(5, 3)).astype(np.float32)
+        labels = rng.normal(size=(5, 3))
+        samples = SampleSet(inputs, labels)
+        pool = samples.pool
+        assert pool.shape == (2, 5, 3) and pool.dtype == np.float64
+        assert pool.base is samples.data and samples.data.size == pool.size
+        assert np.shares_memory(samples.inputs, pool[0])
+        assert np.shares_memory(samples.labels, pool[1])
+        assert_array_equal(pool[0], inputs.astype(np.float64))
+        assert_array_equal(pool[1], labels)
+
+    def test_pool_needs_one_width(self):
+        samples = SampleSet(np.ones((4, 3)), np.ones((4, 2)))
+        assert samples.inputs.shape == (4, 3) and samples.labels.shape == (4, 2)
+        with pytest.raises(ValidationError, match="one width"):
+            samples.pool
+
     def test_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
             SampleSet(np.ones((4, 2)), np.ones((5, 2)))

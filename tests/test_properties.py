@@ -1,9 +1,10 @@
 """Property tests for the scoring maths: AUC rank invariance, min-fusion dominance,
 and Diff-RX / SFA invariance under a band transform shared by both acquisitions;
 the postconditions of the scalar k-means and its agreement with the plain
-Lloyd loop; bit-exact round trips of the cube, mask and curve files; and the
-whole ACDA pipeline on tiny random pairs, which either gives a map or raises an
-AcdkitError.
+Lloyd loop; the sort-based distinct values and quantiles against `np.unique`,
+`np.quantile` and `np.percentile`, bit for bit; bit-exact round trips of the
+cube, mask and curve files; and the whole ACDA pipeline on tiny random pairs,
+which either gives a map or raises an AcdkitError.
 
 Hypothesis draws the inputs; `derandomize=True` makes every run draw the same
 examples, so a failure reproduces and CI stays deterministic.
@@ -25,6 +26,8 @@ from acdkit.core import (
     GroundTruthMask,
     HyperCube,
     IntensityMap,
+    _distinct,
+    _quantile,
     read_cube,
     read_mask,
     write_cube,
@@ -198,6 +201,63 @@ def test_kmeans_matches_the_distance_matrix_lloyd_loop(values, k):
         result = kmeans_1d(values, k)
     assert result.centers.tobytes() == centers.tobytes()
     assert np.array_equal(result.assignments, assignments)
+
+
+# Ties, signed zeros and spread-out values: the order statistics NumPy reads, and
+# which of two equal values of opposite sign it keeps, depend on them.
+TIED = st.sampled_from((-0.0, 0.0, 1.0, -2.5, 3.0))
+# As wide as keeps the difference of two values finite, with subnormals and -0.0.
+WIDE = st.floats(-1e307, 1e307)
+sample_values = st.one_of(
+    st.lists(TIED, min_size=1, max_size=40),
+    st.lists(WIDE, min_size=1, max_size=40),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3),
+    st.builds(lambda v, n: [v] * n, WIDE, st.integers(1, 20)),  # constant
+)
+quantiles = st.lists(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=3)
+
+
+@deterministic
+@given(values=sample_values)
+@example(values=[0.0, -0.0, 0.0])
+def test_distinct_is_np_unique_bit_for_bit(values):
+    values = np.array(values)
+    assert _distinct(values).tobytes() == np.unique(values).tobytes()
+    assert _distinct(values.reshape(1, -1)).tobytes() == np.unique(values).tobytes()
+
+
+@deterministic
+@given(values=sample_values, q=quantiles)
+@example(values=[-0.0], q=[0.5])  # n = 1: NumPy keeps the sign of a zero
+@example(values=[5.0, -0.0, 0.0, 0.0], q=[0.0, 0.4, 1.0])
+@example(values=[2.0, 2.0, 2.0], q=[0.25, 1.0])
+# Which of the tied zeros lands at index 3 depends on the partition's kth list.
+@example(values=[-0.0, -0.0, 3.0, -0.0, 3.0, 1.0, 0.0, -2.5], q=[0.5, 0.91, 0.62])
+def test_quantile_is_np_quantile_bit_for_bit(values, q):
+    values = np.array(values)
+    assert _quantile(values, np.array(q)).tobytes() == np.quantile(values, q).tobytes()
+
+
+@deterministic
+@given(values=sample_values)
+def test_quantile_is_np_percentile_of_2_and_98_bit_for_bit(values):
+    values = np.array(values)
+    expected = np.percentile(values, [2.0, 98.0])
+    assert _quantile(values, np.true_divide([2.0, 98.0], 100)).tobytes() == expected.tobytes()
+
+
+@deterministic
+@given(
+    matrix=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+                  elements=st.one_of(TIED, st.floats(-1e6, 1e6))),
+    q=quantiles,
+)
+def test_quantile_of_a_strided_column_is_np_quantile_bit_for_bit(matrix, q):
+    # synth reads the knee quantiles of each band, a column of the pixel matrix
+    for band in range(matrix.shape[1]):
+        column = matrix[:, band]
+        assert _quantile(column, np.array(q)).tobytes() == np.quantile(column, q).tobytes()
 
 
 F32_MAX = float(np.finfo(np.float32).max)

@@ -1,5 +1,6 @@
 """Synthetic scene generator: determinism, ground truth, condition realism."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -13,11 +14,15 @@ from acdkit.core import flatten
 from acdkit.errors import DataIOError, ValidationError
 from acdkit.neural import TrainConfig
 from acdkit.synth import (
+    _MIX_BILINEAR,
     _TANH_SHARPNESS,
     CONDITIONS,
     AnomalyRect,
     SceneSpec,
     _fit_condition,
+    _mix,
+    _smooth_fields,
+    _smooth_spectra,
     describe,
     generate,
 )
@@ -235,6 +240,30 @@ class TestConditionMap:
         )
         assert condition.apply(values).tobytes() == expected.tobytes()
         assert_array_equal(values, before)
+
+
+class TestMix:
+    """`_mix` mixes one slab of image rows at a time, bit for bit the whole-cube mix."""
+
+    @staticmethod
+    def _whole_cube(fields_, spectra):
+        linear = np.einsum("ehw,eb->hwb", fields_, spectra)
+        bilinear = np.zeros_like(linear)
+        for e, f in itertools.combinations(range(len(fields_)), 2):
+            bilinear += (fields_[e] * fields_[f])[..., np.newaxis] * (spectra[e] * spectra[f])
+        bilinear *= _MIX_BILINEAR
+        return linear + bilinear
+
+    # 27-row slabs and a 13-row tail; one row per slab (wider than a block); one pixel
+    @pytest.mark.parametrize("shape", [(40, 37, 9), (3, 1100, 4), (1, 1, 2)])
+    def test_slabs_match_the_whole_cube_mix(self, shape):
+        height, width, bands = shape
+        rng = np.random.default_rng(11)
+        spectra = _smooth_spectra(rng, 6, bands)
+        fields_ = _smooth_fields(rng, 6, height, width)
+        mixed = _mix(fields_, spectra)
+        assert mixed.shape == shape
+        assert mixed.tobytes() == self._whole_cube(fields_, spectra).tobytes()
 
 
 class TestPeakMemory:
