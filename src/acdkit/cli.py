@@ -3,13 +3,14 @@
 Every command writes a run manifest with content digests of its inputs and
 outputs; stdout carries machine-readable key=value lines and diagnostics go
 to stderr. Exit codes: 1 configuration/validation, 2 I/O, 3 numerical.
-Each command imports only the modules it runs, inside its `cmd_*` function.
+Each command imports only the modules it runs, when it runs them. It builds
+and writes its outputs in one helper and writes its manifest once that
+helper has returned, so no cube, map or curve is alive while the digests run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -39,7 +40,13 @@ _DIGEST_CHUNK = 1 << 16  # bytes hashed per read
 
 
 def _digest(path: Path) -> str:
-    """sha256 of the file at `path`, read `_DIGEST_CHUNK` bytes at a time."""
+    """sha256 of the file at `path`, read `_DIGEST_CHUNK` bytes at a time.
+
+    `hashlib` loads OpenSSL (3.5 MB resident), so it is imported here, on the
+    first digest, once the command has released its working set.
+    """
+    import hashlib
+
     sha = hashlib.sha256()
     try:
         with Path(path).open("rb") as stream:
@@ -154,10 +161,10 @@ def _read_pair(x_path, y_path):
     return x_cube, y_cube
 
 
-def cmd_synth(args) -> int:
+def _synth_outputs(args):
+    """Generate and write the scene of spec `args.spec`; returns out dir, files and spec."""
     from .synth import SceneSpec, describe, generate
 
-    started = time.perf_counter()
     spec = SceneSpec.from_json_file(args.spec)
     x_cube, y_cube, mask = generate(spec)
     out = _ensure_out_dir(args.out)
@@ -166,7 +173,12 @@ def cmd_synth(args) -> int:
     write_mask(mask, out / "truth.pgm")
     _write_text(out / "scene.json", describe(spec) + "\n", "scene description")
     outputs = _cube_files(out / "x.json") + _cube_files(out / "y.json")
-    outputs += [out / "truth.pgm", out / "scene.json"]
+    return out, outputs + [out / "truth.pgm", out / "scene.json"], spec
+
+
+def cmd_synth(args) -> int:
+    started = time.perf_counter()
+    out, outputs, spec = _synth_outputs(args)
     manifest = _write_manifest(
         out, "synth", spec.to_dict(), [Path(args.spec)], outputs, [spec.seed], started
     )
@@ -189,8 +201,11 @@ def _history_text(runs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_detect(args) -> int:
-    started = time.perf_counter()
+def _detect_outputs(args):
+    """Run detector `args.method` and write its maps and texts.
+
+    Returns the out dir, the written files, the config snapshot and the seeds.
+    """
     x_cube, y_cube = _read_pair(args.x, args.y)
     data = {} if args.config is None else _read_json_object(args.config, "config")
     # Every map and text is built before --out exists, so a failed run leaves nothing.
@@ -245,19 +260,28 @@ def cmd_detect(args) -> int:
     for name, (text, what) in texts.items():
         _write_text(out / name, text, what)
         outputs.append(out / name)
+    snapshot["method"] = args.method
+    return out, outputs, snapshot, seeds
+
+
+def cmd_detect(args) -> int:
+    started = time.perf_counter()
+    out, outputs, snapshot, seeds = _detect_outputs(args)
     inputs = _cube_files(args.x) + _cube_files(args.y)
     if args.config:
         inputs.append(Path(args.config))
-    snapshot["method"] = args.method
     manifest = _write_manifest(out, "detect", snapshot, inputs, outputs, seeds, started)
     _emit(method=args.method, map=out / "map.json", manifest=manifest)
     return 0
 
 
-def cmd_eval(args) -> int:
+def _eval_outputs(args):
+    """Score map `args.map` against `args.mask` and write the curve and rendering.
+
+    Returns the out dir, the written files and the AUC.
+    """
     from .evaluate import export_curve, export_map_pgm, roc
 
-    started = time.perf_counter()
     map_cube = read_cube(args.map)
     intensity = cube_to_map(map_cube)
     mask = read_mask(args.mask, expected_shape=intensity.values.shape)
@@ -265,20 +289,28 @@ def cmd_eval(args) -> int:
     out = _ensure_out_dir(args.out)
     export_curve(curve, out / "roc.csv")
     export_map_pgm(intensity, out / "map.pgm")
-    outputs = [out / "roc.csv", out / "map.pgm"]
+    return out, [out / "roc.csv", out / "map.pgm"], curve.auc
+
+
+def cmd_eval(args) -> int:
+    started = time.perf_counter()
+    out, outputs, auc = _eval_outputs(args)
     inputs = _cube_files(args.map) + [Path(args.mask)]
     manifest = _write_manifest(out, "eval", {}, inputs, outputs, [], started)
-    _emit(auc=f"{curve.auc:.6f}", roc=out / "roc.csv", rendering=out / "map.pgm", manifest=manifest)
+    _emit(auc=f"{auc:.6f}", roc=out / "roc.csv", rendering=out / "map.pgm", manifest=manifest)
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _sweep_outputs(args):
+    """Train and score every cell of grid `args.grid` and write the AUC table.
+
+    Returns the out dir, the table, the config snapshot and the seeds.
+    """
     import logging
 
     from .acda import prepare_samples, run_acda
     from .evaluate import roc
 
-    started = time.perf_counter()
     x_cube, y_cube = _read_pair(args.x, args.y)
     mask = read_mask(args.mask, expected_shape=(x_cube.height, x_cube.width))
     grid = _read_json_object(args.grid, "grid")
@@ -302,12 +334,14 @@ def cmd_sweep(args) -> int:
 
     # Pre-detection reads only sample_count and base_seed, which every cell
     # shares: it runs once, and if it fails every cell fails with its error.
+    # Errors are kept as messages: an exception's traceback holds the frame
+    # that holds it, and so the cubes, until the garbage collector runs.
     samples = failure = None
     if configs:
         try:
             samples = prepare_samples(x_cube, y_cube, shared)
         except AcdkitError as exc:
-            failure = exc
+            failure = str(exc)
     rows = ["h2/h1," + ",".join(str(h1) for h1 in h1_values)]
     for h2 in h2_values:
         cells = []
@@ -322,7 +356,7 @@ def cmd_sweep(args) -> int:
                     mean_map, _ = run_acda(x_cube, y_cube, cfg, samples=samples)
                     auc = roc(mean_map, mask).auc
                 except AcdkitError as exc:
-                    error = exc
+                    error = str(exc)
             if error is not None:
                 logging.getLogger(__name__).warning("cell h1=%d h2=%d failed: %s", h1, h2, error)
                 cells.append("nan")
@@ -333,11 +367,14 @@ def cmd_sweep(args) -> int:
     out = _ensure_out_dir(args.out)
     table = out / "sweep.csv"
     _write_text(table, "\n".join(rows) + "\n", "sweep table")
+    return out, table, dict(conf, h1=h1_values, h2=h2_values), [shared.base_seed]
+
+
+def cmd_sweep(args) -> int:
+    started = time.perf_counter()
+    out, table, snapshot, seeds = _sweep_outputs(args)
     inputs = _cube_files(args.x) + _cube_files(args.y) + [Path(args.mask), Path(args.grid)]
-    manifest = _write_manifest(
-        out, "sweep", dict(conf, h1=h1_values, h2=h2_values), inputs, [table],
-        [shared.base_seed], started,
-    )
+    manifest = _write_manifest(out, "sweep", snapshot, inputs, [table], seeds, started)
     _emit(table=table, manifest=manifest)
     return 0
 

@@ -23,6 +23,7 @@ from .core import (
     _read_json_object,
     _require_int,
     _require_number,
+    _row_blocks,
 )
 from .errors import NumericalError, ValidationError
 
@@ -231,17 +232,27 @@ class _ConditionMap:
     centers: np.ndarray  # (n_knees, bands)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = values * self.gains + self.offsets
+        """The transform of `values` (..., bands), in one new array.
+
+        The knees bend one `core._row_blocks` block of spectra at a time, so
+        beside the result only two block-sized temporaries are held; every
+        value takes the same operations as in a whole-array pass.
+        """
+        out = values * self.gains
+        out += self.offsets
         if len(self.amps):
-            bend, term = np.zeros_like(out), np.empty_like(out)
-            for sharp, amp, center in zip(_TANH_SHARPNESS, self.amps, self.centers):
-                np.subtract(out, center, out=term)
-                term *= sharp
-                np.tanh(term, out=term)
-                term *= amp
-                bend += term
-            bend *= self.strength
-            out += bend
+            spectra = out.reshape(-1, out.shape[-1])
+            for rows in _row_blocks(len(spectra)):
+                block = spectra[rows]
+                bend, term = np.zeros_like(block), np.empty_like(block)
+                for sharp, amp, center in zip(_TANH_SHARPNESS, self.amps, self.centers):
+                    np.subtract(block, center, out=term)
+                    term *= sharp
+                    np.tanh(term, out=term)
+                    term *= amp
+                    bend += term
+                bend *= self.strength
+                block += bend
         return out
 
 
@@ -325,6 +336,39 @@ def _mix(fields_: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     return mixed
 
 
+def _plant_anomalies(
+    x_clean: np.ndarray,
+    y_clean: np.ndarray,
+    spec: SceneSpec,
+    condition: _ConditionMap,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Plant each rect of `spec` into its target acquisition, in place; returns the labels."""
+    labels = np.zeros((spec.height, spec.width), dtype=np.uint8)
+    for rect in spec.anomalies:
+        window = (slice(rect.y, rect.y + rect.h), slice(rect.x, rect.x + rect.w))
+        insert = rect.mode == "insert_t2"
+        target = y_clean if insert else x_clean
+        local_reference = target[window].reshape(-1, spec.bands).mean(axis=0)
+        planted = _anomaly_spectrum(rng, spec.bands, condition, insert, local_reference)
+        target[window[0], window[1], :] = planted
+        labels[window] = 1
+    return labels
+
+
+def _add_noise(clean: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
+    """Add `sigma` times standard normal noise to `clean`, one row block of spectra at a time.
+
+    The blocks draw in pixel order, so the noise is the one a single
+    whole-cube `standard_normal` draw gives.
+    """
+    spectra = clean.reshape(-1, clean.shape[-1])
+    for rows in _row_blocks(len(spectra)):
+        noise = rng.standard_normal(spectra[rows].shape)
+        noise *= sigma
+        spectra[rows] += noise
+
+
 def generate(spec: SceneSpec) -> tuple[HyperCube, HyperCube, GroundTruthMask]:
     """Produce the acquisition pair and its anomaly mask for a scene spec.
 
@@ -339,24 +383,13 @@ def generate(spec: SceneSpec) -> tuple[HyperCube, HyperCube, GroundTruthMask]:
     try:
         with np.errstate(over="raise"):
             spectra = _smooth_spectra(rng, spec.n_endmembers, spec.bands)
-            fields_ = _smooth_fields(rng, spec.n_endmembers, spec.height, spec.width)
-            x_clean = _mix(fields_, spectra)
+            # the abundance fields are freed as soon as they are mixed
+            x_clean = _mix(_smooth_fields(rng, spec.n_endmembers, spec.height, spec.width), spectra)
             condition = _fit_condition(x_clean, spec, rng)
             y_clean = condition.apply(x_clean)
-
-            labels = np.zeros((spec.height, spec.width), dtype=np.uint8)
-            for rect in spec.anomalies:
-                window = (slice(rect.y, rect.y + rect.h), slice(rect.x, rect.x + rect.w))
-                insert = rect.mode == "insert_t2"
-                target = y_clean if insert else x_clean
-                local_reference = target[window].reshape(-1, spec.bands).mean(axis=0)
-                planted = _anomaly_spectrum(rng, spec.bands, condition, insert, local_reference)
-                target[window[0], window[1], :] = planted
-                labels[window] = 1
-
-            noise_shape = (spec.height, spec.width, spec.bands)
-            x_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
-            y_clean += spec.noise_sigma * rng.standard_normal(noise_shape)
+            labels = _plant_anomalies(x_clean, y_clean, spec, condition, rng)
+            _add_noise(x_clean, spec.noise_sigma, rng)
+            _add_noise(y_clean, spec.noise_sigma, rng)
     except (FloatingPointError, OverflowError) as exc:  # OverflowError: from rng.uniform
         raise NumericalError(f"scene spec overflows float64: {exc}") from exc
     x_cube = HyperCube(x_clean)

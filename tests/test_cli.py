@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -758,14 +759,66 @@ class TestDispatch:
         assert capsys.readouterr().out.startswith("acdkit ")
 
 
+class TestManifestAfterRelease:
+    """Every cube a command reads is freed before `_write_manifest` digests anything."""
+
+    # sweep_flat: pre-detection fails on a changeless pair; sweep_diverging: every cell
+    # fails in training. Both keep the failed cells' errors until the table is written.
+    @pytest.mark.parametrize(
+        "command",
+        ["cc", "ce", "diffrx", "acda", "eval", "sweep", "sweep_flat", "sweep_diverging"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_cube_is_alive_when_the_manifest_is_written(self, ws, tmp_path, monkeypatch,
+                                                          command):
+        scene = ws["flat"] if command == "sweep_flat" else ws["small"]
+        x, y, truth = str(scene["x"]), str(scene["y"]), str(scene["truth"])
+        if command == "eval":
+            assert main(["detect", "cc", x, y, "--out", str(tmp_path / "cc")]) == 0
+            argv = ["eval", str(tmp_path / "cc" / "map.json"), truth]
+        elif command.startswith("sweep"):
+            grid = tmp_path / "grid.json"
+            rate = {"learning_rate": 1e300} if command == "sweep_diverging" else {}
+            grid.write_text(json.dumps({"h1": [6], "h2": [4], "epochs": 1, "repeats": 1, **rate}),
+                            encoding="utf-8")
+            argv = ["sweep", x, y, truth, str(grid)]
+        elif command == "acda":
+            argv = ["detect", "acda", x, y, "--set", "epochs=1", "--set", "repeats=1"]
+        else:
+            argv = ["detect", command, x, y]
+        read_cube, write_manifest = acdkit.cli.read_cube, acdkit.cli._write_manifest
+        refs, alive = [], []
+
+        def tracked_read(path):
+            cube = read_cube(path)
+            refs.extend([weakref.ref(cube), weakref.ref(cube.data)])
+            return cube
+
+        def checked_write(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return write_manifest(*args)
+
+        monkeypatch.setattr(acdkit.cli, "read_cube", tracked_read)
+        monkeypatch.setattr(acdkit.cli, "_write_manifest", checked_write)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert refs and alive == [0]
+
+
 # Run in a fresh interpreter: the command's exit code, the acdkit modules it
-# loaded, and whether `logging` was loaded, as the last line of stdout.
+# loaded, whether `logging` and `numpy.ma` were loaded, and whether OpenSSL's
+# `_hashlib` was loaded on each entry to `_write_manifest`, as the last line of stdout.
 _LOADED_BY = """
 import json, sys
 import acdkit.cli
+write_manifest, hashlib_at_manifest = acdkit.cli._write_manifest, []
+def recording(*args):
+    hashlib_at_manifest.append("_hashlib" in sys.modules)
+    return write_manifest(*args)
+acdkit.cli._write_manifest = recording
 code = acdkit.cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "acdkit")
-print(json.dumps([code, loaded, "logging" in sys.modules, "numpy.ma" in sys.modules]))
+print(json.dumps([code, loaded, "logging" in sys.modules, "numpy.ma" in sys.modules,
+                  hashlib_at_manifest]))
 """
 _SHARED = {"acdkit", "acdkit.cli", "acdkit.core", "acdkit.errors"}
 _LINEAR = _SHARED | {"acdkit.linalg", "acdkit.baselines"}
@@ -791,9 +844,11 @@ class TestImports:
             capture_output=True, text=True, env=env, timeout=120, check=False,
         )
         assert done.returncode == 0, done.stderr
-        code, loaded, logging_loaded, ma_loaded = json.loads(done.stdout.splitlines()[-1])
+        code, loaded, logging_loaded, ma_loaded, hashlib_at_manifest = json.loads(
+            done.stdout.splitlines()[-1]
+        )
         assert code == 0, done.stderr
-        return set(loaded), logging_loaded, ma_loaded
+        return set(loaded), logging_loaded, ma_loaded, hashlib_at_manifest
 
     @pytest.mark.parametrize("command", list(_LOADED))
     def test_command_loads_only_its_modules(self, ws, tmp_path, command):
@@ -815,9 +870,17 @@ class TestImports:
             argv = ["detect", "acda", x, y, "--set", "epochs=1", "--set", "repeats=1"]
         else:
             argv = ["detect", command, x, y]
-        loaded, logging_loaded, ma_loaded = self._loaded_by(argv + ["--out", str(tmp_path / "o")])
+        loaded, logging_loaded, ma_loaded, hashlib_at_manifest = self._loaded_by(
+            argv + ["--out", str(tmp_path / "o")]
+        )
         assert loaded == _LOADED[command]
         # np.unique, np.quantile and np.percentile would import numpy.ma (1 MB, 10-20 ms)
         assert not ma_loaded
         if command not in ("acda", "sweep"):
             assert not logging_loaded
+        assert len(hashlib_at_manifest) == 1
+        # OpenSSL (3.5 MB) loads with the first digest, after the cubes are freed. acda,
+        # sweep and synth draw from numpy.random, whose bit_generator imports `secrets`,
+        # then `hmac`, then `_hashlib`, so for them it is loaded long before the manifest.
+        if command not in ("acda", "sweep", "synth"):
+            assert hashlib_at_manifest == [False]
