@@ -10,8 +10,8 @@ container's own precision, so it round-trips bit for bit and `flatten` is a
 zero-copy view. Every detector widens one row block (or one gathered
 sample set) at a time to float64 before any arithmetic, so the float32
 storage changes no bit of any result. All types are immutable after
-construction; loading rejects non-finite values outright because every
-downstream statistic silently corrupts on NaN/Inf.
+construction. Every cube comes from the `HyperCube` constructor, whose one
+check rejects NaN/Inf: every downstream statistic silently corrupts on them.
 
 Every detector's map goes through the one row-block loop here
 (`_pixel_map`); the predictors' per-pixel loss maps and their min fusion
@@ -40,10 +40,10 @@ class HyperCube:
     """An H x W x Q radiance cube, shape (height, width, bands).
 
     `data` is a read-only, C-contiguous float32 array, what the cube's
-    container file holds: float32 input is copied exactly, any other input
-    is rounded into float32 by one cast. NaN or Inf input raises
-    ValidationError; a finite value beyond the float32 range raises
-    NumericalError.
+    container file holds. Such an array that owns its memory is taken over;
+    other float32 input is copied exactly, and any other input is rounded
+    into float32 by one cast. NaN or Inf raises ValidationError; a finite
+    value beyond the float32 range raises NumericalError.
     """
 
     data: np.ndarray
@@ -54,8 +54,11 @@ class HyperCube:
             raise ValidationError(f"cube data must be 3-D (H, W, Q), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError(f"cube dimensions must all be >= 1, got {arr.shape}")
-        with np.errstate(over="ignore"):
-            values = np.array(arr, dtype=np.float32, order="C")
+        flags, values = arr.flags, arr
+        # A writable array, or a view of one, could still change under the cube.
+        if arr.dtype != np.float32 or flags.writeable or not (flags.owndata and flags.c_contiguous):
+            with np.errstate(over="ignore"):
+                values = np.array(arr, dtype=np.float32, order="C")
         # NaN and ±Inf reach the minimum or the maximum, so no whole-cube mask is needed.
         if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             # Only a failed check looks at the input again: NaN/Inf there is
@@ -370,18 +373,14 @@ def read_cube(path) -> HyperCube:
                     raw.seek((band * rows + part.start) * 4)
                     if raw.readinto(plane) != plane.nbytes:
                         raise DataIOError(f"raw payload {raw_path} ended early")
-                # NaN and ±Inf reach the minimum or the maximum.
-                if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-                    raise DataIOError(f"raw payload {raw_path}: cube contains NaN or Inf values")
                 pixels[part] = block.T
     except OSError as exc:
         raise DataIOError(f"cannot read raw payload {raw_path}: {exc}") from exc
-    # Every value was read as float32 and checked, so the constructor's
-    # copy would change nothing.
-    values.flags.writeable = False
-    cube = object.__new__(HyperCube)
-    object.__setattr__(cube, "data", values)
-    return cube
+    values.flags.writeable = False  # so the constructor takes it over without a copy
+    try:
+        return HyperCube(values)
+    except ValidationError as exc:
+        raise DataIOError(f"raw payload {raw_path}: {exc}") from exc
 
 
 def write_cube(cube: HyperCube, path) -> None:
@@ -416,7 +415,7 @@ def cube_to_map(cube: HyperCube) -> IntensityMap:
     """Interpret a 1-band cube as an intensity map."""
     if cube.bands != 1:
         raise ValidationError(f"expected a 1-band cube for an intensity map, got {cube.bands}")
-    return IntensityMap(cube.data[:, :, 0].copy())
+    return IntensityMap(cube.data[:, :, 0])
 
 
 def _pgm_tokens(payload: bytes):

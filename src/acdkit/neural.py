@@ -94,10 +94,6 @@ class MlpParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[-1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[-2]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -213,21 +209,6 @@ def _layers(weights, biases, x: np.ndarray, outs=None):
         yield x
 
 
-def forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run a (B, Q) batch through the net.
-
-    Returns the (B, output_dim) outputs and the list of post-activation
-    values per layer (inputs first, outputs last) needed for backprop.
-    """
-    batch = np.asarray(x, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.input_dim:
-        raise ValidationError(
-            f"batch shape {batch.shape} does not match input_dim {params.input_dim}"
-        )
-    activations = [batch, *_layers(params.weights, params.biases, batch)]
-    return activations[-1], activations
-
-
 def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
     """Mean squared spectral norm plus L2 weight decay.
 
@@ -237,7 +218,12 @@ def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
     """
     if batch.size == 0:
         raise ValidationError("loss of an empty batch is undefined")
-    out, _ = forward_batch(params, batch.inputs)
+    if batch.inputs.shape[1] != params.input_dim:
+        raise ValidationError(
+            f"batch shape {batch.inputs.shape} does not match input_dim {params.input_dim}"
+        )
+    for out in _layers(params.weights, params.biases, batch.inputs):
+        pass
     data_term = float(np.sum((out - batch.labels) ** 2)) / batch.size
     reg_term = l2_lambda * sum(float(np.sum(w * w)) for w in params.weights)
     return data_term + reg_term

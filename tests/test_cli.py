@@ -682,6 +682,27 @@ class TestFailedRunWritesNothing:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["diffrx", "eval"])
+    def test_non_finite_payload_is_one_io_error(self, ws, tmp_path, capsys, command):
+        # A NaN in a cube file is bad data: exit 2, whichever command reads it.
+        if command == "diffrx":
+            x, corrupt = _scaled_pair(ws, tmp_path, 1.0)
+            argv = ["detect", "diffrx", x, corrupt]
+        else:
+            corrupt = str(tmp_path / "map.json")
+            write_cube(map_to_cube(IntensityMap(np.ones((16, 16)))), corrupt)
+            argv = ["eval", corrupt, str(ws["small"]["truth"])]
+        raw = Path(corrupt).with_suffix(".raw")
+        payload = bytearray(raw.read_bytes())
+        payload[-4:] = np.array(np.nan, dtype="<f4").tobytes()
+        raw.write_bytes(payload)
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: raw payload")
+        assert lines[0].endswith("cube contains NaN or Inf values")
+        assert not out.exists()
+
     def test_existing_output_directory_is_kept(self, ws, tmp_path, capsys):
         flat = ws["flat"]
         out = tmp_path / "o"

@@ -98,12 +98,6 @@ class TestReadCube:
         assert again.data.tobytes() == cube.data.tobytes()
         assert again.data.flags.c_contiguous and not again.data.flags.writeable
 
-    def test_holds_the_cube_and_one_row_block(self, tmp_path):
-        # Reading the whole payload first would add half a cube of float32.
-        cube = HyperCube(np.ones((128, 128, 16), dtype=np.float32))
-        write_cube(cube, tmp_path / "c.json")
-        assert peak_in_pixel_matrices(lambda: read_cube(tmp_path / "c.json"), cube) <= 1.1
-
     def test_holds_a_float32_cube_and_one_row_block(self, tmp_path):
         # The float32 cube is half a float64 pixel matrix; a float64 cube
         # would be one, and reading the whole payload first would add half.
@@ -291,6 +285,9 @@ class TestTypeValidation:
         data[0, 0, 0] = np.inf
         with pytest.raises(ValidationError, match="NaN or Inf"):
             HyperCube(data)
+        data.flags.writeable = False  # taken over without a copy, and still checked
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            HyperCube(data)
 
     def test_cube_beyond_float32_is_numerical_error(self):
         # Finite float64 input that overflows the float32 rounding is an
@@ -313,6 +310,21 @@ class TestTypeValidation:
         wide = np.array([0.1, 1 / 3, 3.4e38]).reshape(1, 3, 1)
         assert HyperCube(wide).data.tobytes() == wide.astype(np.float32).tobytes()
         assert HyperCube(np.arange(6).reshape(1, 2, 3)).data.dtype == np.float32
+
+    def test_cube_takes_over_only_a_read_only_c_contiguous_float32_array_it_owns(self):
+        owned = np.arange(24, dtype=np.float32).reshape(2, 3, 4).copy()
+        writable = owned.copy()
+        owned.flags.writeable = False
+        assert np.shares_memory(HyperCube(owned).data, owned)
+        view = writable.view()  # read-only, but its base can still change
+        fortran = np.asfortranarray(writable)
+        view.flags.writeable = fortran.flags.writeable = False
+        for given in (writable, view, fortran):
+            cube = HyperCube(given)
+            assert not np.shares_memory(cube.data, given)
+            assert cube.data.tobytes() == writable.tobytes()
+            assert cube.data.flags.c_contiguous and not cube.data.flags.writeable
+        assert writable.flags.writeable
 
     def test_cube_data_is_read_only(self):
         cube = HyperCube(np.ones((2, 2, 2), dtype=np.float32))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from acdkit.acda import bottleneck
+from acdkit.acda import bottleneck, predict_image
 from acdkit.errors import NumericalError, ValidationError
 from acdkit.neural import (
     _step_scratch,
@@ -18,7 +18,6 @@ from acdkit.neural import (
     adam_step,
     backward,
     derived_seed,
-    forward_batch,
     init_adam_state,
     init_params,
     loss,
@@ -105,17 +104,18 @@ class TestInitParams:
 
 
 class TestForward:
+    """The one forward pass, `_layers`, through its public callers `predict_image` and `loss`."""
+
     def test_zero_params_map_to_zero(self):
         params = MlpParams(
             [np.zeros((4, 3)), np.zeros((3, 4))], [np.zeros(4), np.zeros(3)]
         )
-        out, acts = forward_batch(params, np.array([[1.0, -2.0, 3.0]]))
+        out = predict_image(params, np.array([[1.0, -2.0, 3.0]]))
         assert_array_equal(out, np.zeros((1, 3)))
-        assert len(acts) == 3
 
     def test_linear_output_preserves_sign(self):
         params = _identity_params(2)
-        out, _ = forward_batch(params, np.array([[-1.0, 2.0]]))
+        out = predict_image(params, np.array([[-1.0, 2.0]]))
         assert_array_equal(out, [[-1.0, 2.0]])
 
     def test_matches_independent_recomposition(self):
@@ -127,24 +127,24 @@ class TestForward:
             current = w @ current + b
             if i < len(params.weights) - 1:
                 current = np.maximum(current, 0.0)
-        out, acts = forward_batch(params, x[np.newaxis, :])
+        out = predict_image(params, x[np.newaxis, :])
         assert_allclose(out[0], current, rtol=1e-12)
-        assert_array_equal(acts[0][0], x)
-        assert_array_equal(acts[-1], out)
 
     def test_batch_row_agrees_with_single_vector(self):
         rng = np.random.default_rng(13)
         params = init_params(NetworkShape(4, (6, 2, 6), 4), seed=3)
         batch = rng.normal(size=(8, 4))
-        outs, _ = forward_batch(params, batch)
+        outs = predict_image(params, batch)
         for i in range(8):
-            single, _ = forward_batch(params, batch[i : i + 1])
+            single = predict_image(params, batch[i : i + 1])
             assert_allclose(outs[i], single[0], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         params = _identity_params(3)
+        with pytest.raises(ValidationError, match="network input"):
+            predict_image(params, np.ones((1, 4)))
         with pytest.raises(ValidationError, match="input_dim"):
-            forward_batch(params, np.ones((1, 4)))
+            loss(params, SampleSet(np.ones((1, 4)), np.ones((1, 3))), 0.0)
 
 
 class TestLoss:
@@ -432,8 +432,7 @@ class TestTrain:
         config = TrainConfig(epochs=200, batch_size=64, learning_rate=3e-3, l2_lambda=0.0)
         params, history = _train_one(NetworkShape(3, (16,), 3), inputs, labels, config, seed=1)
         label_variance = float(np.var(labels, axis=0).sum())
-        out, _ = forward_batch(params, inputs)
-        final_mse = float(np.sum((out - labels) ** 2)) / inputs.shape[0]
+        final_mse = loss(params, SampleSet(inputs, labels), 0.0)
         assert final_mse < 1e-3 * label_variance
 
     def test_fixed_seed_bit_identical_history(self):
