@@ -1,5 +1,6 @@
 """Fully connected nets: init, forward, loss, exact gradients, Adam, training."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -180,6 +181,16 @@ class TestLoss:
         batch = SampleSet(np.empty((0, 3)), np.empty((0, 3)))
         with pytest.raises(ValidationError, match="empty"):
             loss(_identity_params(3), batch, 0.0)
+
+    @pytest.mark.parametrize("fn", [loss, backward], ids=["loss", "backward"])
+    @pytest.mark.parametrize(
+        "input_width, label_width", [(4, 3), (3, 4)], ids=["input", "label"]
+    )
+    def test_width_mismatch_is_validation_error(self, fn, input_width, label_width):
+        # One check in loss and backward, before any matmul or broadcast can fail.
+        batch = SampleSet(np.ones((2, input_width)), np.ones((2, label_width)))
+        with pytest.raises(ValidationError, match=r"\(3, 3\)"):
+            fn(_identity_params(3), batch, 0.0)
 
 
 class TestBackward:
@@ -377,6 +388,26 @@ class TestTrain:
         config = TrainConfig(epochs=6, batch_size=8, learning_rate=1e-2)
         _train_one(NetworkShape(4, (6, 5), 4), inputs, labels, config, seed=13)
         assert made == [(1, 8)]
+
+    def test_lockstep_peak_memory_on_the_nonlinear_64_shape(self):
+        # 20 nets on a (2, 1800, 16) pool at batch 64, as `detect acda` trains
+        # on the nonlinear-64 benchmark: about 2.3 MiB by tracemalloc, and the
+        # bound is that plus about a quarter. Building each epoch's three
+        # (N, S) int64 index arrays anew, the next set while the last is still
+        # alive, reaches 3.3 MiB.
+        pool = np.random.default_rng(79).normal(size=(2, 1800, 16))
+        config = TrainConfig(epochs=4, batch_size=64, l2_lambda=1e-4)
+        names = [f"net {k}" for k in range(20)]
+        tracemalloc.start()
+        try:
+            train_lockstep(
+                NetworkShape(16, (15, 10, 15), 16), pool, [(0, 1), (1, 0)] * 10,
+                list(range(20)), config, names,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.9 * 2**20
 
     def test_lockstep_leaves_pools_unchanged_and_returns_unshared_nets(self):
         # Training updates its buffers in place; none of that may reach the

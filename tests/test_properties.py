@@ -2,7 +2,8 @@
 and Diff-RX / SFA invariance under a band transform shared by both acquisitions;
 the postconditions of the scalar k-means and its agreement with the plain
 Lloyd loop; the sort-based distinct values and quantiles against `np.unique`,
-`np.quantile` and `np.percentile`, bit for bit; bit-exact round trips of the
+`np.quantile` and `np.percentile`, bit for bit; the training kernel's bias
+gradient against `np.sum`, bit for bit; bit-exact round trips of the
 cube, mask and curve files; and the whole ACDA pipeline on tiny random pairs,
 which either gives a map or raises an AcdkitError.
 
@@ -35,7 +36,7 @@ from acdkit.core import (
 )
 from acdkit.errors import AcdkitError, NumericalError
 from acdkit.evaluate import export_curve, roc
-from acdkit.neural import TrainConfig
+from acdkit.neural import MlpParams, TrainConfig, _loss_and_grads, _step_scratch
 from acdkit.predetect import kmeans_1d, usfa_fit, usfa_intensity
 from helpers import reference_kmeans_1d
 
@@ -258,6 +259,30 @@ def test_quantile_of_a_strided_column_is_np_quantile_bit_for_bit(matrix, q):
     for band in range(matrix.shape[1]):
         column = matrix[:, band]
         assert _quantile(column, np.array(q)).tobytes() == np.quantile(column, q).tobytes()
+
+
+@deterministic
+@given(
+    rows=st.integers(1, 300),
+    width=st.integers(1, 130),
+    nets=st.one_of(st.none(), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=300, width=1, nets=None, seed=0)  # width 1 sums the contiguous axis
+@example(rows=64, width=15, nets=20, seed=1)  # a nonlinear-64 step's last layers
+def test_bias_gradient_is_np_sum_bit_for_bit(rows, width, nets, seed):
+    # One layer of one net, (B, w), or of N stacked nets, (N, B, w). After the
+    # step its output buffer holds the delta whose row sum is the bias gradient;
+    # summing in another order than np.sum would move every trained net's bits.
+    rng = np.random.default_rng(seed)
+    lead = () if nets is None else (nets,)
+    params = MlpParams([rng.normal(size=(*lead, width, 1))], [np.zeros((*lead, width))])
+    grads = MlpParams(params.weights, params.biases)
+    scale = 10.0 ** rng.uniform(-3, 3, (*lead, rows, width))  # magnitudes that round apart
+    labels = rng.normal(size=scale.shape) * scale
+    scratch = _step_scratch(params.weights, (*lead, rows))
+    _loss_and_grads(params, grads, rng.normal(size=(*lead, rows, 1)), labels, 0.0, scratch)
+    assert grads.biases[0].tobytes() == np.sum(scratch[0], axis=-2).tobytes()
 
 
 F32_MAX = float(np.finfo(np.float32).max)
