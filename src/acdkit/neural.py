@@ -18,8 +18,8 @@ Gradients are written into their buffer in place, and Adam is one in-place
 pass over the flat buffers: 14 ufunc calls however many layers and nets it
 updates. `train_lockstep` draws each epoch's permutations into one buffer and
 each batch's row indices into two, and steps in buffers made once, so no step
-allocates an array the size of a batch or of the parameters. The per-net
-`backward` and `adam_step` run the same kernels on one net, so there is one Adam.
+allocates a batch-sized array. The per-net `backward` and `adam_step` run the
+same kernels on one net, so there is one Adam.
 """
 
 from __future__ import annotations
@@ -239,14 +239,12 @@ def _check_batch(params: MlpParams, batch: SampleSet, what: str) -> None:
 def _step_scratch(weights, lead: tuple[int, ...]) -> list[np.ndarray]:
     """Buffers for `_loss_and_grads` on a (*lead, in) batch.
 
-    Each layer's output, the squared residual, each hidden layer's ReLU mask,
-    then a (2, parameters) work buffer for the L2 term and `_adam_update`.
-    `train_lockstep` reuses one set for every step.
+    Each layer's output, then the squared residual, then each hidden
+    layer's ReLU mask. `train_lockstep` reuses one set for every step.
     """
     outs = [np.empty((*lead, w.shape[-2])) for w in weights]
     masks = [np.empty(out.shape, dtype=bool) for out in outs[:-1]]
-    size = sum(w.size + w[..., 0].size for w in weights)  # every weight and bias
-    return [*outs, np.empty_like(outs[-1]), *masks, np.empty((2, size))]
+    return [*outs, np.empty_like(outs[-1]), *masks]
 
 
 def _leading_rows(buffer: np.ndarray, rows: int) -> np.ndarray:
@@ -265,36 +263,30 @@ def _loss_and_grads(
     squared residual is summed over its whole (B, out) block, in the same
     order as `loss` sums it. `scratch` is a `_step_scratch` for this batch
     shape; without one, fresh buffers are made. Its squared-residual buffer
-    may hold `labels`: they are read before it is written. The L2 terms
-    take no temporary: W * W is formed in the gradient buffer before
-    backprop writes it, 2 * lambda * W in the work buffer's first row.
+    may hold `labels`: they are read before it is written.
     """
     weights = params.weights
     layers = len(weights)
     scratch = scratch or _step_scratch(weights, inputs.shape[:-1])
-    square, masks, work = scratch[layers], scratch[layers + 1 : -1], scratch[-1]
+    square, masks = scratch[layers], scratch[layers + 1 :]
     acts = [inputs, *_layers(weights, params.biases, inputs, scratch[:layers])]
     size = inputs.shape[-2]
     residual = np.subtract(acts[-1], labels, out=acts[-1])
     value = np.add.reduce(np.multiply(residual, residual, out=square), axis=(-2, -1)) / size
-    squares = (np.multiply(w, w, out=g) for w, g in zip(weights, grads.weights))
-    value = value + l2_lambda * sum(np.add.reduce(w2, axis=(-2, -1)) for w2 in squares)
+    value = value + l2_lambda * sum(np.add.reduce(w * w, axis=(-2, -1)) for w in weights)
 
     delta = np.multiply(residual, 2.0 / size, out=residual)
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=grads.weights[i])
-        if delta.shape[-1] >= 2:  # np.sum's sequential row order, 2.5-4x faster on short rows
-            np.einsum("...bj->...j", delta, out=grads.biases[i])
-        else:  # einsum would sum a contiguous axis with SIMD accumulators: other bits
-            np.add.reduce(delta, axis=-2, out=grads.biases[i])
+        np.add.reduce(delta, axis=-2, out=grads.biases[i])
         if i > 0:
             # This is the last read of acts[i]: take its ReLU mask, then its buffer holds delta.
             mask = np.greater(acts[i], 0.0, out=masks[i - 1])
             delta = np.matmul(delta, weights[i], out=acts[i])
             delta *= mask
     # The L2 term 2 * lambda * W, added once over the whole weight slice.
-    grad_w, decay = grads.data[: grads.n_weights], work[0, : params.n_weights]
-    grad_w += np.multiply(params.data[: params.n_weights], 2.0 * l2_lambda, out=decay)
+    grad_w = grads.data[: grads.n_weights]
+    grad_w += (2.0 * l2_lambda) * params.data[: params.n_weights]
     return value
 
 
@@ -386,7 +378,7 @@ def train_lockstep(
     Adam pass over all of them. Each epoch's permutations fill one (N, S)
     buffer and each batch's input and label row indices two (N, B) buffers,
     made once like the gathered batches and every layer's activations, so
-    no step allocates an array the size of a batch or of the parameters.
+    no step allocates a batch-sized array.
     The sample pool is only read; each returned net owns a copy of its weights.
 
     Returns one (params, per-epoch losses) pair per net, in seed order; an
@@ -426,15 +418,17 @@ def train_lockstep(
         [np.stack(layer) for layer in zip(*(w for w, _ in inits))],
         [np.stack(layer) for layer in zip(*(b for _, b in inits))],
     )
+    del inits  # copied into params.data
     grads = MlpParams(params.weights, params.biases)  # every entry is overwritten
     state = init_adam_state(params)
+    work = np.empty((2, params.data.size))
     history = np.empty((config.epochs, count))
     # The gathered inputs, the input and label row indices and the `_step_scratch` of a full
     # batch, made once; a shorter last batch uses the start of each buffer. The labels are
     # gathered into the squared-residual buffer.
     lead = (count, min(config.batch_size, size))
-    *step, work = _step_scratch(params.weights, lead)
-    buffers = [np.empty((*lead, width)), np.empty(lead, np.int64), np.empty(lead, np.int64), *step]
+    buffers = [np.empty((*lead, width)), np.empty(lead, np.int64), np.empty(lead, np.int64)]
+    buffers += _step_scratch(params.weights, lead)
     layers = len(params.weights)
     views = {}  # batch length -> the buffers cut to it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -446,7 +440,7 @@ def train_lockstep(
                 batch = slice(start, start + config.batch_size)
                 length = min(config.batch_size, size - start)
                 if length not in views:
-                    views[length] = [*(_leading_rows(b, length) for b in buffers), work]
+                    views[length] = [_leading_rows(b, length) for b in buffers]
                 inputs, input_idx, label_idx, *scratch = views[length]
                 labels = scratch[layers]
                 np.add(order[:, batch], src, out=input_idx)
