@@ -1,8 +1,9 @@
 """Command-line front end: scene synthesis, detection, evaluation, sweeps.
 
 Every command writes a run manifest with content digests of its inputs and
-outputs; stdout carries machine-readable key=value lines and diagnostics go
-to stderr. Exit codes: 1 configuration/validation, 2 I/O, 3 numerical.
+outputs; stdout carries machine-readable key=value lines, and errors and
+warnings go to stderr as `error: ...` and `warning: ...` lines. A failed
+command exits with the `exit_code` of its error's class (see `errors`).
 Each command imports only the modules it runs, when it runs them. It builds
 and writes its outputs in one helper and writes its manifest once that
 helper has returned, so no cube, map or curve is alive while the digests run.
@@ -31,7 +32,7 @@ from .core import (
     write_cube,
     write_mask,
 )
-from .errors import AcdkitError, DataIOError, NumericalError, ValidationError
+from .errors import AcdkitError, DataIOError, ValidationError
 
 _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_lambda")
 _RUN_KEYS = ("sample_count", "repeats", "base_seed")
@@ -283,7 +284,13 @@ def _eval_outputs(args):
     from .evaluate import export_curve, export_map_pgm, roc
 
     map_cube = read_cube(args.map)
-    intensity = cube_to_map(map_cube)
+    try:
+        intensity = cube_to_map(map_cube)
+    except ValidationError as exc:
+        if map_cube.bands != 1:
+            raise
+        # a 1-band map with a negative score is no map a detector writes
+        raise DataIOError(f"map {args.map}: {exc}") from exc
     mask = read_mask(args.mask, expected_shape=intensity.values.shape)
     curve = roc(intensity, mask)
     out = _ensure_out_dir(args.out)
@@ -306,8 +313,6 @@ def _sweep_outputs(args):
 
     Returns the out dir, the table, the config snapshot and the seeds.
     """
-    import logging
-
     from .acda import prepare_samples, run_acda
     from .evaluate import roc
 
@@ -358,7 +363,7 @@ def _sweep_outputs(args):
                 except AcdkitError as exc:
                     error = str(exc)
             if error is not None:
-                logging.getLogger(__name__).warning("cell h1=%d h2=%d failed: %s", h1, h2, error)
+                print(f"warning: cell h1={h1} h2={h2} failed: {error}", file=sys.stderr)
                 cells.append("nan")
                 continue
             cells.append(f"{auc:.6f}")
@@ -367,7 +372,9 @@ def _sweep_outputs(args):
     out = _ensure_out_dir(args.out)
     table = out / "sweep.csv"
     _write_text(table, "\n".join(rows) + "\n", "sweep table")
-    return out, table, dict(conf, h1=h1_values, h2=h2_values), [shared.base_seed]
+    snapshot = dict(conf, h1=h1_values, h2=h2_values)
+    snapshot["resolved_sample_count"] = None if samples is None else samples.size
+    return out, table, snapshot, [shared.base_seed]
 
 
 def cmd_sweep(args) -> int:
@@ -432,15 +439,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except AcdkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

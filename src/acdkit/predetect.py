@@ -8,7 +8,6 @@ lowest-score cluster (the pixels most likely to be unchanged background).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ from .core import IntensityMap, _check_pair, _distinct, _quantile
 from .errors import NumericalError, ValidationError
 from .linalg import _whitened_norms, generalized_eigh, mean_cov
 from .neural import SampleSet
-
-logger = logging.getLogger(__name__)
 
 _EIGENVALUE_FLOOR = 1e-12
 _KMEANS_MAX_ITER = 300
@@ -222,13 +219,6 @@ def select_samples(
     pool = np.flatnonzero(clusters.assignments == 0)
     if pool.size == 0:
         raise NumericalError("lowest-score cluster is empty")
-    take = min(count, pool.size)
-    if count > pool.size:
-        logger.warning(
-            "requested %d samples but the background pool holds %d; using the whole pool",
-            count,
-            pool.size,
-        )
     rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(pool, size=take, replace=False))
+    chosen = np.sort(rng.choice(pool, size=min(count, pool.size), replace=False))
     return SampleSet(x[chosen], y[chosen], indices=chosen)

@@ -470,6 +470,20 @@ class TestEval:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_negative_map_value_is_io_error(self, ws, tmp_path, capsys):
+        # No detector writes a negative score: like a NaN, it is a corrupt map (exit 2).
+        map_path = self._export(np.ones((16, 16)), tmp_path / "map.json")
+        raw = map_path.with_suffix(".raw")
+        payload = bytearray(raw.read_bytes())
+        payload[-4:] = np.array(-1.0, dtype="<f4").tobytes()
+        raw.write_bytes(payload)
+        out = tmp_path / "o"
+        assert main(["eval", str(map_path), str(ws["small"]["truth"]), "--out", str(out)]) == 2
+        lines = _error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith(f"error: map {map_path}: ")
+        assert "negative values" in lines[0]
+        assert not out.exists()
+
 
 class TestSweep:
     def test_grid_table_layout(self, ws, tmp_path, capsys):
@@ -567,7 +581,7 @@ class TestSweep:
             assert pool[0].ctypes.data == samples.inputs.ctypes.data
             assert pool[1].ctypes.data == samples.labels.ctypes.data
 
-    def test_failed_predetection_marks_every_cell_nan(self, ws, tmp_path, monkeypatch, caplog):
+    def test_failed_predetection_marks_every_cell_nan(self, ws, tmp_path, monkeypatch, capsys):
         calls = self._count_predetection(monkeypatch)
         flat = ws["flat"]
         grid = tmp_path / "grid.json"
@@ -579,9 +593,32 @@ class TestSweep:
         assert code == 0
         assert len(calls) == 1
         assert (out / "sweep.csv").read_text().splitlines() == ["h2/h1,6,5", "4,nan,nan"]
-        failures = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
-        assert len(failures) == 2
-        assert all("no change structure" in message for message in failures)
+        failures = _error_lines(capsys)
+        assert [line.split(" failed: ")[0] for line in failures] == [
+            "warning: cell h1=6 h2=4", "warning: cell h1=5 h2=4"
+        ]
+        assert all("no change structure" in line for line in failures)
+
+    def test_short_pool_is_the_resolved_sample_count(self, ws, tmp_path, capsys):
+        # 10000 requested from 256 pixels: both manifests record the whole pool's size.
+        small = ws["small"]
+        shared = {"epochs": 1, "repeats": 1, "sample_count": 10000}
+        settings = [arg for key, value in shared.items() for arg in ("--set", f"{key}={value}")]
+        acda_out, sweep_out = tmp_path / "acda", tmp_path / "sweep"
+        assert main(["detect", "acda", str(small["x"]), str(small["y"]), *settings,
+                     "--set", "h1=6", "--set", "h2=4", "--save-samples",
+                     "--out", str(acda_out)]) == 0
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [6], "h2": [4], **shared}), encoding="utf-8")
+        assert main(["sweep", str(small["x"]), str(small["y"]), str(small["truth"]),
+                     str(grid), "--out", str(sweep_out)]) == 0
+        assert _error_lines(capsys) == []
+        configs = [json.loads((out / "manifest.json").read_text())["config"]
+                  for out in (acda_out, sweep_out)]
+        assert [config["sample_count"] for config in configs] == [10000, 10000]
+        resolved = {config["resolved_sample_count"] for config in configs}
+        rows = (acda_out / "samples.csv").read_text().splitlines()[1:]
+        assert resolved == {len(rows)} and 0 < len(rows) < 256
 
     def test_grid_without_bottleneck_skips_predetection(self, ws, tmp_path, monkeypatch):
         calls = self._count_predetection(monkeypatch)
@@ -897,8 +934,7 @@ class TestImports:
         assert loaded == _LOADED[command]
         # np.unique, np.quantile and np.percentile would import numpy.ma (1 MB, 10-20 ms)
         assert not ma_loaded
-        if command not in ("acda", "sweep"):
-            assert not logging_loaded
+        assert not logging_loaded
         assert len(hashlib_at_manifest) == 1
         # OpenSSL (3.5 MB) loads with the first digest, after the cubes are freed. acda,
         # sweep and synth draw from numpy.random, whose bit_generator imports `secrets`,
