@@ -10,7 +10,7 @@ to stabilize it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,10 @@ def bottleneck(bands: int, h1: int | None = None, h2: int | None = None) -> Netw
     return NetworkShape(bands, (h1, h2, h1), bands)
 
 
-@dataclass(frozen=True)
-class AcdaConfig:
-    """Run-level settings: bottleneck widths, training, sampling, and repeats.
+@dataclass(frozen=True, kw_only=True)
+class AcdaConfig(TrainConfig):
+    """The nine `detect acda` settings, by keyword only: `TrainConfig`'s four
+    training ones, checked first, then bottleneck widths, sampling and repeats.
 
     Unset `h1`/`h2` (set both or neither) are scaled by `bottleneck` from the
     cube's band count; `sample_count=None` uses the 6%-of-scene default.
@@ -70,12 +71,12 @@ class AcdaConfig:
 
     h1: int | None = None
     h2: int | None = None
-    train: TrainConfig = field(default_factory=TrainConfig)
     sample_count: int | None = None
     repeats: int = 10
     base_seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if (self.h1 is None) != (self.h2 is None):
             raise ValidationError("h1 and h2 must be set together")
         for name in ("h1", "h2", "sample_count"):
@@ -166,7 +167,7 @@ def run_acda(
         samples.pool,
         [(direction, 1 - direction) for _, direction in nets],
         [derived_seed(cfg.base_seed + r, direction) for r, direction in nets],
-        cfg.train,
+        cfg,
         names,
     )
 

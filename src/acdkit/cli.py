@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -34,8 +35,6 @@ from .core import (
 )
 from .errors import AcdkitError, DataIOError, ValidationError
 
-_TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2_lambda")
-_RUN_KEYS = ("sample_count", "repeats", "base_seed")
 _LINEAR_DEFAULTS = {"ridge": None}
 _DIGEST_CHUNK = 1 << 16  # bytes hashed per read
 
@@ -133,28 +132,6 @@ def _load_config(defaults: dict, data: dict, overrides: list[str]) -> dict:
     return merged
 
 
-def _sweep_defaults() -> dict:
-    """Every ACDA setting but h1/h2, which a sweep's grid supplies, as `AcdaConfig()` sets it."""
-    from .acda import AcdaConfig
-
-    run = AcdaConfig()
-    return {
-        **{key: getattr(run.train, key) for key in _TRAIN_KEYS},
-        **{key: getattr(run, key) for key in _RUN_KEYS},
-    }
-
-
-def _acda_config(conf: dict):
-    """The run config of merged settings `conf`; the dataclasses check every value."""
-    from .acda import AcdaConfig
-    from .neural import TrainConfig
-
-    train = TrainConfig(**{key: conf[key] for key in _TRAIN_KEYS})
-    return AcdaConfig(
-        h1=conf["h1"], h2=conf["h2"], train=train, **{key: conf[key] for key in _RUN_KEYS}
-    )
-
-
 def _read_pair(x_path, y_path):
     x_cube = read_cube(x_path)
     y_cube = read_cube(y_path)
@@ -213,10 +190,10 @@ def _detect_outputs(args):
     maps: dict[str, IntensityMap] = {}
     texts: dict[str, tuple[str, str]] = {}
     if args.method == "acda":
-        from .acda import bottleneck, prepare_samples, run_acda
+        from .acda import AcdaConfig, bottleneck, prepare_samples, run_acda
 
-        conf = _load_config({"h1": None, "h2": None, **_sweep_defaults()}, data, args.set)
-        cfg = _acda_config(conf)
+        conf = _load_config(asdict(AcdaConfig()), data, args.set)
+        cfg = AcdaConfig(**conf)
         shape = bottleneck(x_cube.bands, cfg.h1, cfg.h2)
         samples = prepare_samples(x_cube, y_cube, cfg)
         maps["map"], runs = run_acda(x_cube, y_cube, cfg, samples=samples)
@@ -313,11 +290,13 @@ def _sweep_outputs(args):
 
     Returns the out dir, the table, the config snapshot and the seeds.
     """
-    from .acda import prepare_samples, run_acda
+    from .acda import AcdaConfig, prepare_samples, run_acda
     from .evaluate import roc
 
     x_cube, y_cube = _read_pair(args.x, args.y)
     mask = read_mask(args.mask, expected_shape=(x_cube.height, x_cube.width))
+    if mask.anomaly_count == 0:
+        raise ValidationError("ground truth marks no anomaly pixels")
     grid = _read_json_object(args.grid, "grid")
     axes = []
     for axis in ("h1", "h2"):
@@ -328,10 +307,13 @@ def _sweep_outputs(args):
             )
         axes.append(sorted(set(values), reverse=True))
     h1_values, h2_values = axes
-    conf = _load_config(_sweep_defaults(), grid, args.set)
-    shared = _acda_config(dict(conf, h1=None, h2=None))
+    # every setting but h1/h2, which the grid supplies
+    defaults = asdict(AcdaConfig())
+    del defaults["h1"], defaults["h2"]
+    conf = _load_config(defaults, grid, args.set)
+    shared = AcdaConfig(**conf)
     configs = {
-        (h1, h2): _acda_config(dict(conf, h1=h1, h2=h2))
+        (h1, h2): AcdaConfig(**conf, h1=h1, h2=h2)
         for h2 in h2_values
         for h1 in h1_values
         if 0 < h2 < h1 < x_cube.bands

@@ -356,15 +356,16 @@ def read_cube(path) -> HyperCube:
 
     raw_path = _raw_path(header_path, header["raw"])
     rows = h * w
-    values = np.empty((h, w, q), dtype=np.float32)
-    pixels = values.reshape(rows, q)
     try:
         with raw_path.open("rb") as raw:
+            # checked before the cube is allocated: a header can declare any size
             size = os.fstat(raw.fileno()).st_size
             if size != rows * q * 4:
                 raise DataIOError(
                     f"raw payload {raw_path} holds {size} bytes, header implies {rows * q * 4}"
                 )
+            values = np.empty((h, w, q), dtype=np.float32)
+            pixels = values.reshape(rows, q)
             # Each band plane holds a row block's pixels contiguously: read
             # the block band by band, then transpose it into the cube's rows.
             for part in _row_blocks(rows):

@@ -97,9 +97,9 @@ class MlpParams:
         return self.weights[0].shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    """Hyperparameters for mini-batch Adam training."""
+    """Mini-batch Adam hyperparameters, by keyword only; `acda.AcdaConfig` extends them."""
 
     epochs: int = 200
     batch_size: int = 256

@@ -16,7 +16,7 @@ from acdkit.baselines import run_baseline
 from acdkit.cli import main
 from acdkit.core import GroundTruthMask, IntensityMap, read_cube, read_mask, cube_to_map
 from acdkit.evaluate import roc
-from acdkit.neural import NetworkShape, TrainConfig, backward
+from acdkit.neural import NetworkShape, backward
 from acdkit.predetect import usfa_fit, usfa_intensity
 from acdkit.synth import AnomalyRect, SceneSpec, generate
 
@@ -73,7 +73,9 @@ def nonlinear_result():
     cfg = AcdaConfig(
         h1=15,
         h2=10,
-        train=TrainConfig(epochs=400, batch_size=64, l2_lambda=1e-4),
+        epochs=400,
+        batch_size=64,
+        l2_lambda=1e-4,
         sample_count=1800,
         repeats=10,
         base_seed=0,
@@ -151,7 +153,10 @@ def test_criterion_3_linear_scene_recovered_by_both_detectors():
     x_cube, y_cube, truth = generate(AFFINE_SPEC)
     cc_map = run_baseline("cc", x_cube, y_cube)
     cfg = AcdaConfig(
-        train=TrainConfig(epochs=100, batch_size=32, learning_rate=2e-3, l2_lambda=1e-4),
+        epochs=100,
+        batch_size=32,
+        learning_rate=2e-3,
+        l2_lambda=1e-4,
         sample_count=1800,
         repeats=10,
         base_seed=0,
@@ -276,7 +281,6 @@ def test_criterion_8_reference_scene_reproduction():
         cfg = AcdaConfig(
             h1=60,
             h2=40,
-            train=TrainConfig(),
             repeats=10,
             base_seed=0,
         )

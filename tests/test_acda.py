@@ -1,5 +1,6 @@
 """Dual-predictor pipeline: training, prediction, loss maps, fusion, repeats."""
 
+import dataclasses
 import functools
 import tracemalloc
 import warnings
@@ -44,9 +45,10 @@ def _small_cfg(bands, epochs=150):
     return AcdaConfig(
         h1=h1,
         h2=h2,
-        train=TrainConfig(
-            epochs=epochs, batch_size=32, learning_rate=3e-3, l2_lambda=1e-4
-        ),
+        epochs=epochs,
+        batch_size=32,
+        learning_rate=3e-3,
+        l2_lambda=1e-4,
         sample_count=200,
         repeats=1,
         base_seed=0,
@@ -61,7 +63,7 @@ def _train_directions(samples, cfg, seeds):
     """
     roles = [(0, 1), (1, 0)][: len(seeds)]
     return train_lockstep(
-        bottleneck(samples.pool.shape[2], cfg.h1, cfg.h2), samples.pool, roles, seeds, cfg.train,
+        bottleneck(samples.pool.shape[2], cfg.h1, cfg.h2), samples.pool, roles, seeds, cfg,
         [f"net {k}" for k in range(len(seeds))],
     )
 
@@ -305,6 +307,24 @@ class TestConfig:
         with pytest.raises(ValidationError, match=message):
             AcdaConfig(**widths)
 
+    def test_fields_are_the_nine_detect_acda_keys(self):
+        names = [f.name for f in dataclasses.fields(AcdaConfig)]
+        assert names == ["epochs", "batch_size", "learning_rate", "l2_lambda",
+                         "h1", "h2", "sample_count", "repeats", "base_seed"]
+        assert isinstance(AcdaConfig(), TrainConfig)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: AcdaConfig(15, 10), lambda: TrainConfig(200)], ids=["acda", "train"]
+    )
+    def test_settings_are_keyword_only(self, make):
+        # by position, AcdaConfig(15, 10) would set epochs and batch_size, not the widths
+        with pytest.raises(TypeError):
+            make()
+
+    def test_training_settings_are_checked_first(self):
+        with pytest.raises(ValidationError, match="epochs must be >= 1"):
+            AcdaConfig(epochs=0, h1=15)
+
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValidationError, match="repeats"):
             AcdaConfig(repeats=0)
@@ -345,7 +365,10 @@ def _run_cfg(repeats=1, epochs=120, base_seed=0):
     return AcdaConfig(
         h1=5,
         h2=3,
-        train=TrainConfig(epochs=epochs, batch_size=32, learning_rate=2e-3, l2_lambda=1e-4),
+        epochs=epochs,
+        batch_size=32,
+        learning_rate=2e-3,
+        l2_lambda=1e-4,
         sample_count=150,
         repeats=repeats,
         base_seed=base_seed,
@@ -406,10 +429,12 @@ class TestRunAcda:
     def test_lockstep_equals_independent_predictors(self, bands, widths, side, count, batch_size):
         x, y, _ = generate(_scene(seed=13, side=side, bands=bands))
         cfg = AcdaConfig(
-            *widths,
-            train=TrainConfig(
-                epochs=4, batch_size=batch_size, learning_rate=2e-3, l2_lambda=1e-4
-            ),
+            h1=widths[0],
+            h2=widths[1],
+            epochs=4,
+            batch_size=batch_size,
+            learning_rate=2e-3,
+            l2_lambda=1e-4,
             repeats=3,
             base_seed=4,
         )
@@ -422,13 +447,13 @@ class TestRunAcda:
                 (run.params_bwd, run.training_losses[1], 1, reversed_samples),
             ):
                 alone = reference_train(
-                    bottleneck(bands, *widths), pool, cfg.train, derived_seed(cfg.base_seed + r, direction)
+                    bottleneck(bands, *widths), pool, cfg, derived_seed(cfg.base_seed + r, direction)
                 )
                 assert_same_net((params, history), alone)
 
     def test_one_config_fits_any_band_count(self):
         # The widths hold no band count: each run builds its shape from its cubes.
-        cfg = AcdaConfig(h1=5, h2=3, train=TrainConfig(epochs=1), repeats=1)
+        cfg = AcdaConfig(h1=5, h2=3, epochs=1, repeats=1)
         for bands in (8, 16):
             x, y, _ = generate(_scene(seed=7, bands=bands))
             _, [run] = run_acda(x, y, cfg)
@@ -543,12 +568,12 @@ class TestPeakMemory:
 
     def test_run_acda_peak_is_at_most_two_pixel_matrices(self, scene):
         x, y, _ = scene
-        cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
+        cfg = AcdaConfig(epochs=1, repeats=2)
         assert peak_in_pixel_matrices(lambda: run_acda(x, y, cfg), x) <= 2.0
 
     def test_prepare_samples_peak_is_at_most_one_and_a_tenth_pixel_matrices(self, scene):
         x, y, _ = scene
-        cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
+        cfg = AcdaConfig(epochs=1, repeats=2)
         assert peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) <= 1.1
 
     def test_scoring_peak_is_at_most_three_quarters_of_a_pixel_matrix(self, scene):
@@ -573,7 +598,7 @@ class TestPeakMemory:
 
     def test_prepare_samples_holds_one_pixel_matrix(self, large_scene):
         x, y, _ = large_scene
-        cfg = AcdaConfig(train=TrainConfig(epochs=1), repeats=2)
+        cfg = AcdaConfig(epochs=1, repeats=2)
         assert peak_in_pixel_matrices(lambda: prepare_samples(x, y, cfg), x) < 0.5
 
     def test_diff_rx_holds_the_difference_and_row_blocks(self, large_scene):

@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import acdkit
-from acdkit.acda import AcdaConfig, run_acda
+from acdkit.acda import AcdaConfig, bottleneck, run_acda
 from acdkit.cli import main
 from acdkit.core import (
     GroundTruthMask,
@@ -31,7 +31,6 @@ from acdkit.core import (
 from acdkit.errors import NumericalError
 from acdkit.evaluate import roc
 from acdkit.core import IntensityMap
-from acdkit.neural import TrainConfig
 from acdkit.synth import AnomalyRect, SceneSpec, generate
 
 
@@ -362,6 +361,19 @@ class TestDetectAcda:
         assert manifest["config"]["h1"] == 4 and manifest["config"]["h2"] == 3
         assert manifest["seeds"] == [0, 1]
 
+    def test_manifest_config_holds_every_setting(self, ws, tmp_path):
+        # with no settings: `AcdaConfig()`'s values, with h1/h2 resolved for 8 bands
+        out = tmp_path / "defaults"
+        assert main(["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        names = [f.name for f in dataclasses.fields(AcdaConfig)]
+        assert sorted(config) == sorted(names + ["method", "resolved_sample_count"])
+        h1, h2 = bottleneck(8).hidden[:2]
+        assert {name: config[name] for name in names} == dict(
+            dataclasses.asdict(AcdaConfig()), h1=h1, h2=h2
+        )
+
     def test_partial_shape_override_rejected(self, ws, tmp_path):
         code = main(["detect", "acda", str(ws["small"]["x"]), str(ws["small"]["y"]),
                      "--set", "h1=6", "--out", str(tmp_path / "o")])
@@ -542,10 +554,7 @@ class TestSweep:
         for h2 in (4, 3):
             cells = []
             for h1 in (6, 5):
-                cfg = AcdaConfig(
-                    h1=h1, h2=h2, train=TrainConfig(epochs=3),
-                    repeats=2,
-                )
+                cfg = AcdaConfig(h1=h1, h2=h2, epochs=3, repeats=2)
                 mean_map, _ = run_acda(x_cube, y_cube, cfg)
                 cells.append(f"{roc(mean_map, mask).auc:.6f}")
             expected.append(f"{h2}," + ",".join(cells))
@@ -588,7 +597,8 @@ class TestSweep:
         grid.write_text(json.dumps({"h1": [6, 5], "h2": [4], "epochs": 2, "repeats": 1}),
                         encoding="utf-8")
         out = tmp_path / "sweep"
-        code = main(["sweep", str(flat["x"]), str(flat["y"]), str(flat["truth"]),
+        # the changeless pair's own mask marks nothing, so the small scene's mask stands in
+        code = main(["sweep", str(flat["x"]), str(flat["y"]), str(ws["small"]["truth"]),
                      str(grid), "--out", str(out)])
         assert code == 0
         assert len(calls) == 1
@@ -632,6 +642,23 @@ class TestSweep:
         assert code == 0
         assert calls == []
         assert (out / "sweep.csv").read_text().splitlines() == ["h2/h1,3", "4,-"]
+
+    def test_mask_without_anomaly_fails_before_training(self, ws, tmp_path, monkeypatch, capsys):
+        # as `eval` does: exit 1, one error line and no table, not a table of nan cells
+        calls = self._count_predetection(monkeypatch)
+        small = ws["small"]
+        cube = read_cube(small["x"])
+        mask = tmp_path / "none.pgm"
+        write_mask(GroundTruthMask(np.zeros((cube.height, cube.width), dtype=np.uint8)), mask)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [6], "h2": [4], "epochs": 1, "repeats": 1}),
+                        encoding="utf-8")
+        code = main(["sweep", str(small["x"]), str(small["y"]), str(mask),
+                     str(grid), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert _error_lines(capsys) == ["error: ground truth marks no anomaly pixels"]
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("setting", ["h1=3", "h2=2"])
     def test_grid_axes_cannot_be_set(self, ws, tmp_path, capsys, setting):
@@ -830,7 +857,8 @@ class TestManifestAfterRelease:
     def test_no_cube_is_alive_when_the_manifest_is_written(self, ws, tmp_path, monkeypatch,
                                                           command):
         scene = ws["flat"] if command == "sweep_flat" else ws["small"]
-        x, y, truth = str(scene["x"]), str(scene["y"]), str(scene["truth"])
+        # the flat pair's own mask marks nothing; the small scene's mask has its shape
+        x, y, truth = str(scene["x"]), str(scene["y"]), str(ws["small"]["truth"])
         if command == "eval":
             assert main(["detect", "cc", x, y, "--out", str(tmp_path / "cc")]) == 0
             argv = ["eval", str(tmp_path / "cc" / "map.json"), truth]

@@ -53,6 +53,12 @@ class TestReadCube:
         with pytest.raises(DataIOError, match="bytes"):
             read_cube(path)
 
+    def test_oversized_header_fails_before_allocating(self, tmp_path):
+        # 4e14 bytes of float32: allocating before the size check raised MemoryError
+        path = _write_pair(tmp_path, "c", 1_000_000, 1_000_000, 100, np.zeros(64 * 64 * 16))
+        with pytest.raises(DataIOError, match="holds 262144 bytes, header implies"):
+            read_cube(path)
+
     def test_band_sequential_order(self, tmp_path):
         # Band 0's full plane first: plane0 = {1,2,3,4}, plane1 = {5,6,7,8}.
         path = _write_pair(tmp_path, "c", 2, 2, 2, [1, 2, 3, 4, 5, 6, 7, 8])

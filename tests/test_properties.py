@@ -36,7 +36,7 @@ from acdkit.core import (
 )
 from acdkit.errors import AcdkitError, NumericalError
 from acdkit.evaluate import export_curve, roc
-from acdkit.neural import MlpParams, TrainConfig, _loss_and_grads, _step_scratch
+from acdkit.neural import MlpParams, _loss_and_grads, _step_scratch
 from acdkit.predetect import kmeans_1d, usfa_fit, usfa_intensity
 from helpers import reference_kmeans_1d
 
@@ -355,7 +355,7 @@ def tiny_pairs(draw):
 @given(pair=tiny_pairs())
 def test_run_acda_gives_a_map_or_an_acdkit_error(pair):
     x_cube, y_cube = pair
-    cfg = AcdaConfig(train=TrainConfig(epochs=2), repeats=1)
+    cfg = AcdaConfig(epochs=2, repeats=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -12,7 +12,6 @@ from acdkit.acda import AcdaConfig, run_acda
 from acdkit.baselines import diff_rx, run_baseline
 from acdkit.core import flatten
 from acdkit.errors import DataIOError, ValidationError
-from acdkit.neural import TrainConfig
 from acdkit.synth import (
     _MIX_BILINEAR,
     _TANH_SHARPNESS,
@@ -395,8 +394,10 @@ class TestDetectability:
         cfg = AcdaConfig(
             h1=5,
             h2=3,
-            train=TrainConfig(epochs=150, batch_size=32, learning_rate=2e-3,
-                              l2_lambda=1e-4),
+            epochs=150,
+            batch_size=32,
+            learning_rate=2e-3,
+            l2_lambda=1e-4,
             sample_count=800,
             repeats=2,
             base_seed=1,
