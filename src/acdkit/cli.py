@@ -290,7 +290,7 @@ def _sweep_outputs(args):
 
     Returns the out dir, the table, the config snapshot and the seeds.
     """
-    from .acda import AcdaConfig, prepare_samples, run_acda
+    from .acda import AcdaConfig, bottleneck, prepare_samples, run_acda
     from .evaluate import roc
 
     x_cube, y_cube = _read_pair(args.x, args.y)
@@ -312,12 +312,14 @@ def _sweep_outputs(args):
     del defaults["h1"], defaults["h2"]
     conf = _load_config(defaults, grid, args.set)
     shared = AcdaConfig(**conf)
-    configs = {
-        (h1, h2): AcdaConfig(**conf, h1=h1, h2=h2)
-        for h2 in h2_values
-        for h1 in h1_values
-        if 0 < h2 < h1 < x_cube.bands
-    }
+    configs = {}  # the cells whose widths `bottleneck` accepts; the rest read "-"
+    for h2 in h2_values:
+        for h1 in h1_values:
+            try:
+                bottleneck(x_cube.bands, h1, h2)
+            except ValidationError:
+                continue
+            configs[h1, h2] = AcdaConfig(**conf, h1=h1, h2=h2)
 
     # Pre-detection reads only sample_count and base_seed, which every cell
     # shares: it runs once, and if it fails every cell fails with its error.

@@ -24,11 +24,11 @@ same kernels on one net, so there is one Adam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _float_matrix, _require_int, _require_number
+from .core import _check_pair, _float_matrix, _require_int, _require_number, _row_blocks
 from .errors import NumericalError, ValidationError
 
 _ADAM_BETA1 = 0.9
@@ -121,55 +121,39 @@ class TrainConfig:
             raise ValidationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    """Paired (input, label) spectra; row i of both sides comes from one pixel.
+    """The training pool: rows `indices` of two (M, Q) pixel matrices, paired by pixel.
 
-    The pairs are held once, in one float64 buffer `data`: the inputs, then
-    the labels. `inputs` and `labels` are views into it, and with one width
-    on both sides `pool` is the (2, S, Q) view that `train_lockstep` trains
-    on, so training copies no sample. The constructor checks the shapes and
-    finiteness of what it is given before it widens both into `data`.
+    The chosen rows of `x` and `y` are gathered one `core._row_blocks` block
+    at a time into `pool`, one float64 (2, S, Q) buffer that `train_lockstep`
+    trains on: `inputs` is `pool[0]`, `labels` is `pool[1]`, and row i of
+    both comes from pixel `indices[i]`. So the pairs are held once, with no
+    copy of all chosen rows beside it. `indices=None` takes every row. A
+    non-finite value among the chosen rows raises ValidationError.
     """
 
-    inputs: np.ndarray  # (S, Q_in)
-    labels: np.ndarray  # (S, Q_out)
-    indices: np.ndarray | None = None  # source pixel rows, kept for audit
-    data: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        inputs = _float_matrix(self.inputs)
-        labels = _float_matrix(self.labels)
-        if inputs.ndim != 2 or labels.ndim != 2:
-            raise ValidationError("sample inputs and labels must be 2-D matrices")
-        if inputs.shape[0] != labels.shape[0]:
+    def __init__(self, x: np.ndarray, y: np.ndarray, indices=None):
+        x, y = _check_pair(x, y)
+        indices = np.arange(x.shape[0]) if indices is None else np.asarray(indices)
+        if indices.ndim != 1 or indices.dtype.kind not in "iu":
             raise ValidationError(
-                f"inputs have {inputs.shape[0]} rows, labels {labels.shape[0]}"
+                f"sample indices must be a 1-D integer array, got {indices.dtype} {indices.shape}"
             )
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(labels))):
-            raise ValidationError("sample set contains non-finite values")
-        data = np.empty(inputs.size + labels.size)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "inputs", data[: inputs.size].reshape(inputs.shape))
-        object.__setattr__(self, "labels", data[inputs.size :].reshape(labels.shape))
-        self.inputs[...] = inputs
-        self.labels[...] = labels
-        if self.indices is not None:
-            object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
+        if indices.size and not (indices.min() >= 0 and indices.max() < x.shape[0]):
+            raise ValidationError(f"sample indices must lie in [0, {x.shape[0]})")
+        self.indices = indices.astype(np.int64, copy=False)
+        self.pool = np.empty((2, indices.size, x.shape[1]))
+        for part in _row_blocks(indices.size):
+            rows = self.indices[part]
+            for side, source in zip(self.pool, (x, y)):
+                side[part] = source[rows]
+            if not np.all(np.isfinite(self.pool[:, part])):
+                raise ValidationError("sample set contains non-finite values")
+        self.inputs, self.labels = self.pool
 
     @property
     def size(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def pool(self) -> np.ndarray:
-        """`data` as a (2, S, Q) array: block 0 the inputs, block 1 the labels."""
-        if self.inputs.shape != self.labels.shape:
-            raise ValidationError(
-                f"a sample pool needs one width, got inputs {self.inputs.shape} "
-                f"and labels {self.labels.shape}"
-            )
-        return self.data.reshape(2, *self.inputs.shape)
+        return self.pool.shape[1]
 
 
 @dataclass
@@ -211,29 +195,38 @@ def _layers(weights, biases, x: np.ndarray, outs=None):
         yield x
 
 
-def loss(params: MlpParams, batch: SampleSet, l2_lambda: float) -> float:
-    """Mean squared spectral norm plus L2 weight decay.
+def loss(params: MlpParams, inputs: np.ndarray, labels: np.ndarray, l2_lambda: float) -> float:
+    """Mean squared spectral norm plus L2 weight decay over S (input, label) rows.
 
     (1/S) sum_i ||out_i - label_i||^2 + lambda * sum_j ||W_j||_F^2.
     The squared norm sums over bands without dividing by Q; biases are not
     regularized.
     """
-    _check_batch(params, batch, "loss")
-    for out in _layers(params.weights, params.biases, batch.inputs):
+    inputs, labels = _check_batch(params, inputs, labels, "loss")
+    for out in _layers(params.weights, params.biases, inputs):
         pass
-    data_term = float(np.sum((out - batch.labels) ** 2)) / batch.size
+    data_term = float(np.sum((out - labels) ** 2)) / inputs.shape[0]
     reg_term = l2_lambda * sum(float(np.sum(w * w)) for w in params.weights)
     return data_term + reg_term
 
 
-def _check_batch(params: MlpParams, batch: SampleSet, what: str) -> None:
-    """Reject an empty batch, or one whose widths are not the net's input and output."""
-    if batch.size == 0:
+def _check_batch(params: MlpParams, inputs, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Return the batch as float arrays, or raise ValidationError unless it is 2-D,
+    non-empty, finite, of one row count and of the net's input and output widths."""
+    inputs, labels = _float_matrix(inputs), _float_matrix(labels)
+    if inputs.ndim != 2 or labels.ndim != 2:
+        raise ValidationError("batch inputs and labels must be 2-D matrices")
+    if inputs.shape[0] != labels.shape[0]:
+        raise ValidationError(f"inputs have {inputs.shape[0]} rows, labels {labels.shape[0]}")
+    if inputs.shape[0] == 0:
         raise ValidationError(f"{what} of an empty batch is undefined")
-    widths = (batch.inputs.shape[1], batch.labels.shape[1])
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(labels))):
+        raise ValidationError("batch contains non-finite values")
+    widths = (inputs.shape[1], labels.shape[1])
     net = (params.input_dim, params.weights[-1].shape[-2])
     if widths != net:
         raise ValidationError(f"batch widths {widths} do not match input_dim and output {net}")
+    return inputs, labels
 
 
 def _step_scratch(weights, lead: tuple[int, ...]) -> list[np.ndarray]:
@@ -290,15 +283,17 @@ def _loss_and_grads(
     return value
 
 
-def backward(params: MlpParams, batch: SampleSet, l2_lambda: float) -> MlpParams:
+def backward(
+    params: MlpParams, inputs: np.ndarray, labels: np.ndarray, l2_lambda: float
+) -> MlpParams:
     """Exact gradient of `loss` w.r.t. every weight and bias.
 
     ReLU uses the zero subgradient at 0. The return value reuses MlpParams
     as a container of gradient arrays with matching shapes.
     """
-    _check_batch(params, batch, "gradient")
+    inputs, labels = _check_batch(params, inputs, labels, "gradient")
     grads = MlpParams(params.weights, params.biases)  # every entry is overwritten
-    _loss_and_grads(params, grads, batch.inputs, batch.labels, l2_lambda)
+    _loss_and_grads(params, grads, inputs, labels, l2_lambda)
     return grads
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntensityMap, _check_pair, _distinct, _quantile
+from .core import IntensityMap, _check_pair, _distinct, _quantile, _require_int
 from .errors import NumericalError, ValidationError
 from .linalg import _whitened_norms, generalized_eigh, mean_cov
 from .neural import SampleSet
@@ -131,7 +131,7 @@ def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
     member. Stops when the assignment is stable or after 300 iterations.
     NaN or Inf values raise ValidationError.
     """
-    if k < 1:
+    if _require_int(k, "k") < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     flat = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(flat)):
@@ -179,7 +179,7 @@ def kmeans_1d(values: np.ndarray, k: int) -> ClusterResult:
 
 def default_sample_count(n_pixels: int) -> int:
     """min(10000, ceil(6% of the scene)) — proportionate at desk scale."""
-    if n_pixels < 1:
+    if _require_int(n_pixels, "n_pixels") < 1:
         raise ValidationError(f"n_pixels must be >= 1, got {n_pixels}")
     return min(10000, math.ceil(0.06 * n_pixels))
 
@@ -202,7 +202,7 @@ def select_samples(
     NumericalError.
     """
     x, y = _check_pair(x, y)
-    if count < 1:
+    if _require_int(count, "count") < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     scores = intensity.values.ravel()
     if scores.size != x.shape[0]:
@@ -221,4 +221,4 @@ def select_samples(
         raise NumericalError("lowest-score cluster is empty")
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(pool, size=min(count, pool.size), replace=False))
-    return SampleSet(x[chosen], y[chosen], indices=chosen)
+    return SampleSet(x, y, chosen)

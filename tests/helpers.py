@@ -18,7 +18,10 @@ from acdkit.neural import (
 
 
 def finite_difference_grads(params, batch, l2_lambda, step=1e-4):
-    """Central finite differences of `loss` over every weight and bias entry."""
+    """Central finite differences of `loss` over every weight and bias entry.
+
+    `batch` is an (inputs, labels) pair.
+    """
 
     def fd_array(arr):
         grad = np.zeros_like(arr)
@@ -26,9 +29,9 @@ def finite_difference_grads(params, batch, l2_lambda, step=1e-4):
         for j in range(flat.size):
             saved = flat[j]
             flat[j] = saved + step
-            plus = loss(params, batch, l2_lambda)
+            plus = loss(params, *batch, l2_lambda)
             flat[j] = saved - step
-            minus = loss(params, batch, l2_lambda)
+            minus = loss(params, *batch, l2_lambda)
             flat[j] = saved
             out[j] = (plus - minus) / (2.0 * step)
         return grad
@@ -48,15 +51,15 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
-def kink_margin(params, batch):
-    """Smallest |pre-activation| feeding any ReLU over the batch.
+def kink_margin(params, inputs):
+    """Smallest |pre-activation| feeding any ReLU over a batch of inputs.
 
     The finite-difference stencil is a valid derivative estimator only when
     no perturbation crosses a ReLU kink, i.e. when this margin comfortably
     exceeds the step size.
     """
     margin = np.inf
-    current = batch.inputs
+    current = inputs
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = current @ w.T + b
         margin = min(margin, float(np.min(np.abs(z))))
@@ -65,7 +68,7 @@ def kink_margin(params, batch):
 
 
 def generic_gradient_case(shape: NetworkShape, seed: int, batch_rows: int = 6):
-    """A random net and batch in generic position (pre-activations off kinks).
+    """A random net and an (inputs, labels) batch in generic position (pre-activations off kinks).
 
     Weights are He-normal and biases N(0, 0.3) -- zero biases put dead-row
     pre-activations exactly on the kink, where finite differences measure a
@@ -80,11 +83,11 @@ def generic_gradient_case(shape: NetworkShape, seed: int, batch_rows: int = 6):
             base.weights,
             [rng.normal(0.0, 0.3, size=b.shape) for b in base.biases],
         )
-        batch = SampleSet(
+        batch = (
             rng.normal(size=(batch_rows, shape.input_dim)),
             rng.normal(size=(batch_rows, shape.output_dim)),
         )
-        if kink_margin(params, batch) > 1e-3:
+        if kink_margin(params, batch[0]) > 1e-3:
             return params, batch
         attempt += 1000
 
@@ -113,9 +116,9 @@ def reference_train(shape: NetworkShape, samples: SampleSet, config, seed: int):
         values = []
         for start in range(0, samples.size, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch = SampleSet(samples.inputs[idx], samples.labels[idx])
-            values.append(loss(params, batch, config.l2_lambda))
-            grads = backward(params, batch, config.l2_lambda)
+            batch = samples.inputs[idx], samples.labels[idx]
+            values.append(loss(params, *batch, config.l2_lambda))
+            grads = backward(params, *batch, config.l2_lambda)
             params, state = adam_step(params, grads, state, config)
         history.append(float(np.mean(values)))
     return params, history

@@ -110,7 +110,7 @@ def test_criterion_1_gradients_match_finite_differences():
         output_dim = int(rng.integers(2, 13))
         shape = NetworkShape(input_dim, hidden, output_dim)
         params, batch = generic_gradient_case(shape, seed=case)
-        analytic = backward(params, batch, 1e-3)
+        analytic = backward(params, *batch, 1e-3)
         fd_weights, fd_biases = finite_difference_grads(params, batch, 1e-3)
         worst = max(worst, max_relative_error(analytic.weights, fd_weights))
         worst = max(worst, max_relative_error(analytic.biases, fd_biases))

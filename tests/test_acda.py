@@ -37,7 +37,7 @@ from helpers import assert_same_net, peak_in_pixel_matrices, reference_train
 def _sampled(img_in, img_out, count, seed=0):
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(img_in.shape[0], size=count, replace=False))
-    return SampleSet(img_in[idx], img_out[idx], indices=idx)
+    return SampleSet(img_in, img_out, idx)
 
 
 def _small_cfg(bands, epochs=150):
@@ -118,8 +118,7 @@ class TestPredictImage:
         out = predict_image(params, spectrum)
         # `loss` runs the same forward pass: against zero labels, without
         # decay, it is the squared norm of the prediction.
-        zero_labels = SampleSet(spectrum, np.zeros_like(spectrum))
-        assert loss(params, zero_labels, 0.0) == float(np.sum(out**2))
+        assert loss(params, spectrum, np.zeros_like(spectrum), 0.0) == float(np.sum(out**2))
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(13)
@@ -358,7 +357,7 @@ def _explicit_samples(x_cube, y_cube, count, seed=0):
     fx, fy = flatten(x_cube), flatten(y_cube)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(fx.shape[0], size=count, replace=False))
-    return SampleSet(fx[idx], fy[idx], indices=idx)
+    return SampleSet(fx, fy, idx)
 
 
 def _run_cfg(repeats=1, epochs=120, base_seed=0):
@@ -512,7 +511,7 @@ class TestRunAcda:
         run_acda(x, y, cfg, samples=samples)
         (pool,) = pools
         assert pool.shape == (2, samples.size, x.bands)
-        assert pool.base is samples.data
+        assert pool is samples.pool
         assert pool[0].ctypes.data == samples.inputs.ctypes.data
         assert pool[1].ctypes.data == samples.labels.ctypes.data
 

@@ -522,6 +522,22 @@ class TestSweep:
         assert manifest["config"]["h1"] == [8, 6, 3]
         assert manifest["config"]["epochs"] == 10
 
+    def test_cells_outside_the_bottleneck_rule_read_dash(self, ws, tmp_path):
+        # 8 bands: h1 = 8 does not compress them and h2 = 0 is no layer, so
+        # `bottleneck` rejects every cell but (6, 4).
+        small = ws["small"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"h1": [8, 6], "h2": [4, 0], "epochs": 1, "repeats": 1}),
+                        encoding="utf-8")
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(small["x"]), str(small["y"]), str(small["truth"]),
+                     str(grid), "--out", str(out)])
+        assert code == 0
+        header, row4, row0 = (out / "sweep.csv").read_text().strip().splitlines()
+        assert header == "h2/h1,8,6"
+        assert row4.split(",")[:2] == ["4", "-"] and 0.0 <= float(row4.split(",")[2]) <= 1.0
+        assert row0 == "0,-,-"
+
     @staticmethod
     def _count_predetection(monkeypatch):
         import acdkit.acda as acda_module
@@ -585,8 +601,8 @@ class TestSweep:
         assert code == 0
         (samples,) = drawn
         assert len(pools) == 2
-        for pool in pools:  # a view of the samples' own buffer, not a copy
-            assert pool.base is samples.data
+        for pool in pools:  # the samples' own buffer, not a copy
+            assert pool is samples.pool
             assert pool[0].ctypes.data == samples.inputs.ctypes.data
             assert pool[1].ctypes.data == samples.labels.ctypes.data
 

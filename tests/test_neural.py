@@ -145,42 +145,38 @@ class TestForward:
         with pytest.raises(ValidationError, match="network input"):
             predict_image(params, np.ones((1, 4)))
         with pytest.raises(ValidationError, match="input_dim"):
-            loss(params, SampleSet(np.ones((1, 4)), np.ones((1, 3))), 0.0)
+            loss(params, np.ones((1, 4)), np.ones((1, 3)), 0.0)
 
 
 class TestLoss:
     def test_perfect_predictor_is_zero(self):
         rng = np.random.default_rng(17)
         inputs = rng.normal(size=(10, 3))
-        batch = SampleSet(inputs, inputs)
-        assert loss(_identity_params(3), batch, 0.0) == 0.0
+        assert loss(_identity_params(3), inputs, inputs, 0.0) == 0.0
 
     def test_direct_arithmetic(self):
-        batch = SampleSet(np.array([[1.0, 2.0]]), np.array([[1.0, 4.0]]))
-        assert loss(_identity_params(2), batch, 0.0) == pytest.approx(4.0)
+        batch = np.array([[1.0, 2.0]]), np.array([[1.0, 4.0]])
+        assert loss(_identity_params(2), *batch, 0.0) == pytest.approx(4.0)
 
     def test_regularizer_matches_direct_summation(self):
         rng = np.random.default_rng(21)
         params = init_params(NetworkShape(4, (6, 3), 4), seed=5)
         inputs = rng.normal(size=(12, 4))
-        batch = SampleSet(inputs, inputs)
         lam = 0.37
         expected = lam * sum(np.sum(w**2) for w in params.weights)
-        assert loss(params, batch, lam) - loss(params, batch, 0.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        decay = loss(params, inputs, inputs, lam) - loss(params, inputs, inputs, 0.0)
+        assert decay == pytest.approx(expected, rel=1e-12)
 
     def test_mean_over_samples_not_bands(self):
         # Two samples, each with squared norm 4 over bands -> loss 4, not 2.
         inputs = np.zeros((2, 2))
         labels = np.full((2, 2), np.sqrt(2.0))
         params = _identity_params(2)
-        assert loss(params, SampleSet(inputs, labels), 0.0) == pytest.approx(4.0)
+        assert loss(params, inputs, labels, 0.0) == pytest.approx(4.0)
 
     def test_empty_batch_rejected(self):
-        batch = SampleSet(np.empty((0, 3)), np.empty((0, 3)))
         with pytest.raises(ValidationError, match="empty"):
-            loss(_identity_params(3), batch, 0.0)
+            loss(_identity_params(3), np.empty((0, 3)), np.empty((0, 3)), 0.0)
 
     @pytest.mark.parametrize("fn", [loss, backward], ids=["loss", "backward"])
     @pytest.mark.parametrize(
@@ -188,16 +184,29 @@ class TestLoss:
     )
     def test_width_mismatch_is_validation_error(self, fn, input_width, label_width):
         # One check in loss and backward, before any matmul or broadcast can fail.
-        batch = SampleSet(np.ones((2, input_width)), np.ones((2, label_width)))
         with pytest.raises(ValidationError, match=r"\(3, 3\)"):
-            fn(_identity_params(3), batch, 0.0)
+            fn(_identity_params(3), np.ones((2, input_width)), np.ones((2, label_width)), 0.0)
+
+    @pytest.mark.parametrize("fn", [loss, backward], ids=["loss", "backward"])
+    @pytest.mark.parametrize(
+        "inputs, labels, message",
+        [
+            (np.ones(3), np.ones((1, 3)), "2-D"),
+            (np.ones((2, 3)), np.ones((3, 3)), "rows"),
+            (np.full((1, 3), np.nan), np.ones((1, 3)), "finite"),
+        ],
+        ids=["1-D", "rows", "NaN"],
+    )
+    def test_malformed_batch_is_validation_error(self, fn, inputs, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            fn(_identity_params(3), inputs, labels, 0.0)
 
 
 class TestBackward:
     def test_matches_finite_differences_on_bottleneck(self):
         params, batch = generic_gradient_case(NetworkShape(5, (8, 4, 8), 5), seed=7)
-        assert kink_margin(params, batch) > 1e-3  # FD stencil stays off kinks
-        grads = backward(params, batch, 1e-3)
+        assert kink_margin(params, batch[0]) > 1e-3  # FD stencil stays off kinks
+        grads = backward(params, *batch, 1e-3)
         fd_w, fd_b = finite_difference_grads(params, batch, 1e-3)
         assert max_relative_error(grads.weights, fd_w) < 1e-4
         assert max_relative_error(grads.biases, fd_b) < 1e-4
@@ -205,7 +214,7 @@ class TestBackward:
     def test_zero_residual_zero_gradients(self):
         rng = np.random.default_rng(33)
         inputs = rng.normal(size=(10, 3))
-        grads = backward(_identity_params(3), SampleSet(inputs, inputs), 0.0)
+        grads = backward(_identity_params(3), inputs, inputs, 0.0)
         for g in grads.weights + grads.biases:
             assert_allclose(g, np.zeros_like(g), atol=1e-14)
 
@@ -214,19 +223,18 @@ class TestBackward:
         # exactly 0, so the identity output is 0 too; with zero labels the
         # residual and every gradient entry are 0.
         inputs = -np.abs(np.random.default_rng(37).normal(size=(6, 2))) - 0.1
-        batch = SampleSet(inputs, np.zeros((6, 2)))
         params = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
-        grads = backward(params, batch, 0.0)
+        grads = backward(params, inputs, np.zeros((6, 2)), 0.0)
         for g in grads.weights + grads.biases:
             assert_array_equal(g, np.zeros_like(g))
 
     def test_doubling_lambda_doubles_decay_component(self):
         rng = np.random.default_rng(41)
         params = init_params(NetworkShape(3, (5,), 3), seed=13)
-        batch = SampleSet(rng.normal(size=(7, 3)), rng.normal(size=(7, 3)))
-        g0 = backward(params, batch, 0.0)
-        g1 = backward(params, batch, 0.05)
-        g2 = backward(params, batch, 0.10)
+        batch = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        g0 = backward(params, *batch, 0.0)
+        g1 = backward(params, *batch, 0.05)
+        g2 = backward(params, *batch, 0.10)
         for a, b, c in zip(g0.weights, g1.weights, g2.weights):
             assert_allclose(c - a, 2.0 * (b - a), rtol=1e-10)
         for a, c in zip(g0.biases, g2.biases):
@@ -239,7 +247,7 @@ class TestBackward:
             hidden = tuple(int(rng.integers(2, 9)) for _ in range(int(rng.integers(1, 4))))
             shape = NetworkShape(q, hidden, q)
             params, batch = generic_gradient_case(shape, seed=trial, batch_rows=4)
-            grads = backward(params, batch, 1e-4)
+            grads = backward(params, *batch, 1e-4)
             fd_w, fd_b = finite_difference_grads(params, batch, 1e-4)
             assert max_relative_error(grads.weights, fd_w) < 1e-4
             assert max_relative_error(grads.biases, fd_b) < 1e-4
@@ -463,7 +471,7 @@ class TestTrain:
         config = TrainConfig(epochs=200, batch_size=64, learning_rate=3e-3, l2_lambda=0.0)
         params, history = _train_one(NetworkShape(3, (16,), 3), inputs, labels, config, seed=1)
         label_variance = float(np.var(labels, axis=0).sum())
-        final_mse = loss(params, SampleSet(inputs, labels), 0.0)
+        final_mse = loss(params, inputs, labels, 0.0)
         assert final_mse < 1e-3 * label_variance
 
     def test_fixed_seed_bit_identical_history(self):
@@ -511,26 +519,43 @@ class TestTrain:
 
 class TestSampleSet:
     def test_pairs_are_held_once_in_one_pool(self):
+        # 4500 chosen rows: three row blocks, the last one longer.
         rng = np.random.default_rng(3)
-        inputs = rng.normal(size=(5, 3)).astype(np.float32)
-        labels = rng.normal(size=(5, 3))
-        samples = SampleSet(inputs, labels)
+        x = rng.normal(size=(6000, 3)).astype(np.float32)
+        y = rng.normal(size=(6000, 3))
+        idx = np.sort(rng.choice(6000, size=4500, replace=False)).astype(np.int32)
+        samples = SampleSet(x, y, idx)
         pool = samples.pool
-        assert pool.shape == (2, 5, 3) and pool.dtype == np.float64
-        assert pool.base is samples.data and samples.data.size == pool.size
-        assert np.shares_memory(samples.inputs, pool[0])
-        assert np.shares_memory(samples.labels, pool[1])
-        assert_array_equal(pool[0], inputs.astype(np.float64))
-        assert_array_equal(pool[1], labels)
+        assert pool.shape == (2, 4500, 3) and pool.dtype == np.float64
+        assert pool.flags.c_contiguous and not hasattr(samples, "data")
+        assert samples.inputs.base is pool and samples.labels.base is pool
+        assert samples.inputs.tobytes() == x[idx].astype(np.float64).tobytes()
+        assert samples.labels.tobytes() == y[idx].tobytes()
+        assert samples.indices.dtype == np.int64 and samples.size == 4500
+        assert_array_equal(samples.indices, idx)
+
+    def test_indices_default_to_every_row(self):
+        x = np.arange(8.0).reshape(4, 2)
+        samples = SampleSet(x, -x)
+        assert samples.indices.dtype == np.int64
+        assert_array_equal(samples.indices, np.arange(4))
+        assert_array_equal(samples.pool, [x, -x])
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[[0, 1], [1, 2]], [0.0, 1.0], [7, 8, 9, 10, 11], [-1, 0], [True, False]],
+        ids=["2-D", "float", "past the end", "negative", "bool"],
+    )
+    def test_bad_indices_rejected(self, indices):
+        with pytest.raises(ValidationError, match="indices"):
+            SampleSet(np.ones((3, 2)), np.ones((3, 2)), indices)
 
     def test_pool_needs_one_width(self):
-        samples = SampleSet(np.ones((4, 3)), np.ones((4, 2)))
-        assert samples.inputs.shape == (4, 3) and samples.labels.shape == (4, 2)
-        with pytest.raises(ValidationError, match="one width"):
-            samples.pool
+        with pytest.raises(ValidationError, match="disagree"):
+            SampleSet(np.ones((4, 3)), np.ones((4, 2)))
 
     def test_row_count_mismatch(self):
-        with pytest.raises(ValidationError, match="rows"):
+        with pytest.raises(ValidationError, match="disagree"):
             SampleSet(np.ones((4, 2)), np.ones((5, 2)))
 
     def test_non_finite_rejected(self):
@@ -538,6 +563,23 @@ class TestSampleSet:
         bad[0, 0] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             SampleSet(bad, np.ones((3, 2)))
+        assert SampleSet(bad, np.ones((3, 2)), [1, 2]).size == 2  # row 0 is not chosen
+
+    def test_build_holds_no_copy_of_the_chosen_rows(self):
+        # The rows are gathered a block at a time straight into the pool: at most
+        # 1.2 pool sizes by tracemalloc. Gathering float32 copies of all chosen
+        # rows first, then widening them into the pool, peaks at 1.5.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(16384, 40)).astype(np.float32)
+        y = rng.normal(size=(16384, 40)).astype(np.float32)
+        idx = np.sort(rng.choice(16384, size=8192, replace=False))
+        tracemalloc.start()
+        try:
+            samples = SampleSet(x, y, idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * samples.pool.nbytes
 
 
 class TestDerivedSeed:

@@ -315,3 +315,22 @@ class TestDefaultSampleCount:
     def test_rejects_empty_scene(self):
         with pytest.raises(ValidationError):
             default_sample_count(0)
+
+
+_FIVE = np.arange(10.0).reshape(5, 2)  # the five-pixel pair of the k-means reseed case
+_FIVE_SCORES = IntensityMap(np.array([[0.0, 7.0, 8.0, 8.0, 8.0]]))
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: select_samples(_FIVE, _FIVE + 1.0, _FIVE_SCORES, n),
+        lambda n: kmeans_1d(np.arange(7.0), n),
+        default_sample_count,
+    ],
+    ids=["select_samples count", "kmeans_1d k", "default_sample_count n_pixels"],
+)
+def test_integer_arguments_reject_other_numbers(call, value):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(value)
